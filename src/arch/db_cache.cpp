@@ -229,7 +229,8 @@ DbCache::install()
         return;
     if (fill_.size() <= 1) {
         ++stats_.singleDiscarded;
-        singles_.push_back(fillTag_);
+        if (singles_.size() < kSideSpaceEntries)
+            singles_.push_back(fillTag_);
         if (tracer_)
             tracer_->emit(obs::TraceKind::DbSingle, traceNow_, lane_,
                           fillTag_.pc);

@@ -133,10 +133,15 @@ class DbCache
     std::size_t size() const { return lines_.size(); }
     std::uint32_t capacity() const { return cfg_.dbCacheEntries; }
 
+    /** Entries of the side space that keeps discarded single lines. */
+    static constexpr std::size_t kSideSpaceEntries = 64;
+
     /**
      * Addresses of discarded single-instruction lines, kept in the
      * small side space the paper uses for hotspot path collection
-     * (§3.4.1). Cleared by the caller after harvesting.
+     * (§3.4.1). Cleared by the caller after harvesting; once it holds
+     * kSideSpaceEntries, further singles are only counted, so a model
+     * nobody harvests stays bounded over any number of blocks.
      */
     std::vector<CodeAddr> &singles() { return singles_; }
 

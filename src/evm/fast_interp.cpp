@@ -151,12 +151,206 @@ derivePureHalt(const DecodedProgram &prog, std::size_t marker,
 }
 
 CallResult fastCall(FastCtx &ctx, const CallParams &params);
+Halt runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
+                const CallParams &params, Bytes &output, bool &reverted);
 
 #if defined(__GNUC__) && !defined(MTPU_NO_COMPUTED_GOTO)
 #define MTPU_CGOTO 1
 #else
 #define MTPU_CGOTO 0
 #endif
+
+/**
+ * CREATE/CREATE2 and the CALL family run out of line: their locals own
+ * heap memory (init code, the decoded init program, calldata, return
+ * data), and the computed-goto dispatch that leaves a handler runs no
+ * destructors. Returning from a function does. Halt::None means
+ * "continue at the next instruction" (neither opcode stops the frame
+ * normally).
+ */
+Halt
+execCreate(FastCtx &ctx, FastFrame &frame, const DecodedInstr &d,
+           const CallParams &params)
+{
+    WorldState &state = ctx.state;
+    std::vector<U256> &stack = frame.stack;
+    auto pop = [&stack]() {
+        U256 v = stack.back();
+        stack.pop_back();
+        return v;
+    };
+    auto push = [&stack](const U256 &v) { stack.push_back(v); };
+
+    if (params.isStatic)
+        return Halt::StaticViolation;
+    U256 value = pop(), off = pop(), size = pop();
+    U256 salt;
+    if (d.arg)
+        salt = pop();
+    std::uint64_t o = off.fitsU64() ? off.low64() : ~0ull;
+    std::uint64_t s = size.fitsU64() ? size.low64() : ~0ull;
+    if (!frame.touchMemory(o, s))
+        return Halt::OutOfGas;
+    Bytes init;
+    if (s)
+        init.assign(frame.memory.begin() + o,
+                    frame.memory.begin() + o + s);
+
+    Address created;
+    if (!d.arg) {
+        created = createAddress(params.to, state.nonce(params.to));
+    } else {
+        Bytes buf;
+        buf.push_back(0xff);
+        std::uint8_t tmp[32];
+        params.to.toBytes(tmp);
+        buf.insert(buf.end(), tmp + 12, tmp + 32);
+        salt.toBytes(tmp);
+        buf.insert(buf.end(), tmp, tmp + 32);
+        U256 init_hash = keccak256Word(init);
+        init_hash.toBytes(tmp);
+        buf.insert(buf.end(), tmp, tmp + 32);
+        created = toAddress(keccak256Word(buf));
+    }
+    state.incNonce(params.to);
+
+    if (params.depth + 1 > kMaxCallDepth
+        || state.balance(params.to) < value) {
+        push(U256());
+        return Halt::None;
+    }
+
+    auto snap = state.snapshot();
+    state.createAccount(created);
+    state.subBalance(params.to, value);
+    state.addBalance(created, value);
+
+    std::uint64_t fwd_gas = frame.gas - frame.gas / 64;
+    CallParams sub;
+    sub.caller = params.to;
+    sub.to = created;
+    sub.codeFrom = created;
+    sub.value = value;
+    sub.gas = fwd_gas;
+    sub.depth = params.depth + 1;
+
+    // Run the init code (decoded uncached: init blobs are one-shot)
+    // on the next arena slot; its output becomes the account code.
+    auto init_prog = decodeProgram(init);
+    FastFrame &init_frame = ctx.frameAt(std::size_t(sub.depth));
+    init_frame.reset();
+    init_frame.gas = fwd_gas;
+    Bytes deployed;
+    bool sub_rev = false;
+    Halt h = runDecoded(ctx, init_frame, *init_prog, sub, deployed,
+                        sub_rev);
+    std::uint64_t used = fwd_gas - init_frame.gas;
+    frame.gas -= (h == Halt::None) ? used : fwd_gas;
+    if (h == Halt::None && !sub_rev) {
+        state.setCode(created, deployed);
+        push(created);
+    } else {
+        state.revert(snap);
+        push(U256());
+    }
+    frame.returnData.clear();
+    return Halt::None;
+}
+
+Halt
+execCall(FastCtx &ctx, FastFrame &frame, const DecodedInstr &d,
+         const CallParams &params)
+{
+    WorldState &state = ctx.state;
+    std::vector<U256> &stack = frame.stack;
+    auto pop = [&stack]() {
+        U256 v = stack.back();
+        stack.pop_back();
+        return v;
+    };
+    auto push = [&stack](const U256 &v) { stack.push_back(v); };
+
+    const FOp k = d.op;
+    U256 gas_v = pop(), addr_v = pop();
+    U256 value;
+    if (k == FOp::Call || k == FOp::Callcode)
+        value = pop();
+    U256 in_off = pop(), in_size = pop(), out_off = pop(),
+         out_size = pop();
+
+    if (k == FOp::Call && params.isStatic && !value.isZero())
+        return Halt::StaticViolation;
+
+    std::uint64_t io = in_off.fitsU64() ? in_off.low64() : ~0ull;
+    std::uint64_t is = in_size.fitsU64() ? in_size.low64() : ~0ull;
+    std::uint64_t oo = out_off.fitsU64() ? out_off.low64() : ~0ull;
+    std::uint64_t os = out_size.fitsU64() ? out_size.low64() : ~0ull;
+    if (!frame.touchMemory(io, is) || !frame.touchMemory(oo, os))
+        return Halt::OutOfGas;
+
+    if (!value.isZero() && !frame.chargeGas(GasCosts::kCallValue))
+        return Halt::OutOfGas;
+
+    Address target = toAddress(addr_v);
+    Bytes input;
+    if (is)
+        input.assign(frame.memory.begin() + io,
+                     frame.memory.begin() + io + is);
+
+    std::uint64_t max_fwd = frame.gas - frame.gas / 64;
+    std::uint64_t req = gas_v.fitsU64() ? gas_v.low64() : max_fwd;
+    std::uint64_t fwd = req < max_fwd ? req : max_fwd;
+    if (!value.isZero())
+        fwd += GasCosts::kCallStipend;
+
+    CallParams sub;
+    sub.caller = (k == FOp::Delegatecall) ? params.caller : params.to;
+    sub.codeFrom = target;
+    sub.to = (k == FOp::Call || k == FOp::Staticcall) ? target
+                                                      : params.to;
+    sub.value = (k == FOp::Delegatecall) ? params.value : value;
+    sub.input = std::move(input);
+    sub.gas = fwd;
+    sub.isStatic = params.isStatic || k == FOp::Staticcall;
+    sub.depth = params.depth + 1;
+
+    bool ok;
+    CallResult res;
+    if (params.depth + 1 > kMaxCallDepth) {
+        ok = false;
+        res.gasUsed = 0;
+    } else if (k == FOp::Call && !value.isZero()
+               && state.balance(params.to) < value) {
+        ok = false;
+        res.gasUsed = 0;
+    } else {
+        auto snap = state.snapshot();
+        if (k == FOp::Call && !value.isZero()) {
+            state.subBalance(params.to, value);
+            state.addBalance(target, value);
+        }
+        res = fastCall(ctx, sub);
+        ok = res.success;
+        if (!ok)
+            state.revert(snap);
+    }
+    std::uint64_t charge = res.gasUsed < fwd ? res.gasUsed : fwd;
+    // The stipend is free to the caller.
+    std::uint64_t stipend = value.isZero() ? 0 : GasCosts::kCallStipend;
+    charge = charge > stipend ? charge - stipend : 0;
+    if (!frame.chargeGas(charge))
+        return Halt::OutOfGas;
+
+    std::uint64_t copy = res.returnData.size() < os
+                             ? res.returnData.size()
+                             : os;
+    if (copy)
+        std::memcpy(frame.memory.data() + oo, res.returnData.data(),
+                    copy);
+    frame.returnData = std::move(res.returnData);
+    push(U256(ok ? 1 : 0));
+    return Halt::None;
+}
 
 /**
  * Execute one frame over a decoded program. Same contract as the
@@ -530,8 +724,9 @@ runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
         std::uint64_t so = src.fitsU64() ? src.low64() : ~0ull;
         if (so + s > frame.returnData.size())
             return Halt::BadJump; // out-of-bounds returndata
-        std::memcpy(frame.memory.data() + dd, frame.returnData.data() + so,
-                    s);
+        if (s) // both buffers may be empty (null data())
+            std::memcpy(frame.memory.data() + dd,
+                        frame.returnData.data() + so, s);
         NEXT();
     }
 
@@ -726,79 +921,8 @@ runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
     // --- context switching ---------------------------------------------
     OP(Create) : { // CREATE and CREATE2 (d->arg == 1)
         PRE();
-        if (params.isStatic)
-            return Halt::StaticViolation;
-        U256 value = pop(), off = pop(), size = pop();
-        U256 salt;
-        if (d->arg)
-            salt = pop();
-        std::uint64_t o = off.fitsU64() ? off.low64() : ~0ull;
-        std::uint64_t s = size.fitsU64() ? size.low64() : ~0ull;
-        if (!frame.touchMemory(o, s))
-            return Halt::OutOfGas;
-        Bytes init;
-        if (s)
-            init.assign(frame.memory.begin() + o,
-                        frame.memory.begin() + o + s);
-
-        Address created;
-        if (!d->arg) {
-            created = createAddress(params.to, state.nonce(params.to));
-        } else {
-            Bytes buf;
-            buf.push_back(0xff);
-            std::uint8_t tmp[32];
-            params.to.toBytes(tmp);
-            buf.insert(buf.end(), tmp + 12, tmp + 32);
-            salt.toBytes(tmp);
-            buf.insert(buf.end(), tmp, tmp + 32);
-            U256 init_hash = keccak256Word(init);
-            init_hash.toBytes(tmp);
-            buf.insert(buf.end(), tmp, tmp + 32);
-            created = toAddress(keccak256Word(buf));
-        }
-        state.incNonce(params.to);
-
-        if (params.depth + 1 > kMaxCallDepth
-            || state.balance(params.to) < value) {
-            push(U256());
-            NEXT();
-        }
-
-        auto snap = state.snapshot();
-        state.createAccount(created);
-        state.subBalance(params.to, value);
-        state.addBalance(created, value);
-
-        std::uint64_t fwd_gas = frame.gas - frame.gas / 64;
-        CallParams sub;
-        sub.caller = params.to;
-        sub.to = created;
-        sub.codeFrom = created;
-        sub.value = value;
-        sub.gas = fwd_gas;
-        sub.depth = params.depth + 1;
-
-        // Run the init code (decoded uncached: init blobs are one-shot)
-        // on the next arena slot; its output becomes the account code.
-        auto init_prog = decodeProgram(init);
-        FastFrame &init_frame = ctx.frameAt(std::size_t(sub.depth));
-        init_frame.reset();
-        init_frame.gas = fwd_gas;
-        Bytes deployed;
-        bool sub_rev = false;
-        Halt h = runDecoded(ctx, init_frame, *init_prog, sub, deployed,
-                            sub_rev);
-        std::uint64_t used = fwd_gas - init_frame.gas;
-        frame.gas -= (h == Halt::None) ? used : fwd_gas;
-        if (h == Halt::None && !sub_rev) {
-            state.setCode(created, deployed);
-            push(created);
-        } else {
-            state.revert(snap);
-            push(U256());
-        }
-        frame.returnData.clear();
+        if (Halt h = execCreate(ctx, frame, *d, params); h != Halt::None)
+            return h;
         NEXT();
     }
     OP(Call) : // CALL/CALLCODE/DELEGATECALL/STATICCALL share this body
@@ -807,85 +931,8 @@ runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
 #endif
     {
         PRE();
-        const FOp k = d->op;
-        U256 gas_v = pop(), addr_v = pop();
-        U256 value;
-        if (k == FOp::Call || k == FOp::Callcode)
-            value = pop();
-        U256 in_off = pop(), in_size = pop(), out_off = pop(),
-             out_size = pop();
-
-        if (k == FOp::Call && params.isStatic && !value.isZero())
-            return Halt::StaticViolation;
-
-        std::uint64_t io = in_off.fitsU64() ? in_off.low64() : ~0ull;
-        std::uint64_t is = in_size.fitsU64() ? in_size.low64() : ~0ull;
-        std::uint64_t oo = out_off.fitsU64() ? out_off.low64() : ~0ull;
-        std::uint64_t os = out_size.fitsU64() ? out_size.low64() : ~0ull;
-        if (!frame.touchMemory(io, is) || !frame.touchMemory(oo, os))
-            return Halt::OutOfGas;
-
-        if (!value.isZero() && !frame.chargeGas(GasCosts::kCallValue))
-            return Halt::OutOfGas;
-
-        Address target = toAddress(addr_v);
-        Bytes input;
-        if (is)
-            input.assign(frame.memory.begin() + io,
-                         frame.memory.begin() + io + is);
-
-        std::uint64_t max_fwd = frame.gas - frame.gas / 64;
-        std::uint64_t req = gas_v.fitsU64() ? gas_v.low64() : max_fwd;
-        std::uint64_t fwd = req < max_fwd ? req : max_fwd;
-        if (!value.isZero())
-            fwd += GasCosts::kCallStipend;
-
-        CallParams sub;
-        sub.caller = (k == FOp::Delegatecall) ? params.caller : params.to;
-        sub.codeFrom = target;
-        sub.to = (k == FOp::Call || k == FOp::Staticcall) ? target
-                                                          : params.to;
-        sub.value = (k == FOp::Delegatecall) ? params.value : value;
-        sub.input = std::move(input);
-        sub.gas = fwd;
-        sub.isStatic = params.isStatic || k == FOp::Staticcall;
-        sub.depth = params.depth + 1;
-
-        bool ok;
-        CallResult res;
-        if (params.depth + 1 > kMaxCallDepth) {
-            ok = false;
-            res.gasUsed = 0;
-        } else if (k == FOp::Call && !value.isZero()
-                   && state.balance(params.to) < value) {
-            ok = false;
-            res.gasUsed = 0;
-        } else {
-            auto snap = state.snapshot();
-            if (k == FOp::Call && !value.isZero()) {
-                state.subBalance(params.to, value);
-                state.addBalance(target, value);
-            }
-            res = fastCall(ctx, sub);
-            ok = res.success;
-            if (!ok)
-                state.revert(snap);
-        }
-        std::uint64_t charge = res.gasUsed < fwd ? res.gasUsed : fwd;
-        // The stipend is free to the caller.
-        std::uint64_t stipend = value.isZero() ? 0 : GasCosts::kCallStipend;
-        charge = charge > stipend ? charge - stipend : 0;
-        if (!frame.chargeGas(charge))
-            return Halt::OutOfGas;
-
-        frame.returnData = res.returnData;
-        std::uint64_t copy = res.returnData.size() < os
-                                 ? res.returnData.size()
-                                 : os;
-        if (copy)
-            std::memcpy(frame.memory.data() + oo, res.returnData.data(),
-                        copy);
-        push(U256(ok ? 1 : 0));
+        if (Halt h = execCall(ctx, frame, *d, params); h != Halt::None)
+            return h;
         NEXT();
     }
 

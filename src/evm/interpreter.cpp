@@ -702,8 +702,9 @@ runFrame(ExecContext &ctx, Frame &frame, const CallParams &params,
                                                      : ~0ull;
               if (so + s > frame.returnData.size())
                   return Halt::BadJump; // out-of-bounds returndata
-              std::memcpy(frame.memory.data() + d,
-                          frame.returnData.data() + so, s);
+              if (s) // both buffers may be empty (null data())
+                  std::memcpy(frame.memory.data() + d,
+                              frame.returnData.data() + so, s);
               frame.setMemTaint(d, s, frame.returnDataTaint);
               finish_event(std::uint32_t(s));
               continue;

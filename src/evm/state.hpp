@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <set>
 #include <unordered_map>
@@ -17,6 +18,24 @@
 #include "support/u256.hpp"
 
 namespace mtpu::evm {
+
+/**
+ * Cached pieces of one account's state commitment (DESIGN.md §16).
+ * Filled by WorldState::digest(), cleared by the journaled setters and
+ * revert() that change what they cover; never part of consensus data.
+ */
+struct CommitCache
+{
+    /** Storage buckets (slot low byte) whose bucketHash is current. */
+    std::bitset<256> freshBuckets;
+    /** One hash per bucket; allocated on the first warm of a non-empty
+     *  storage, so accounts without storage carry no table. */
+    std::vector<U256> bucketHash;
+    U256 storageRoot;
+    U256 commitment;
+    bool rootFresh = false;
+    bool commitmentFresh = false;
+};
 
 /** One account's persistent state (Table 4 "State"). */
 struct Account
@@ -34,6 +53,9 @@ struct Account
      * state. Always false outside overlay states.
      */
     bool baseBacked = false;
+
+    /** Commitment cache; copied with the account (warm copies). */
+    mutable CommitCache commit;
 
     bool isContract() const { return !code.empty(); }
 };
@@ -115,6 +137,12 @@ class WorldState
     void revert(Snapshot snap);
     /** Drop journal history (transaction boundary). */
     void commit() { journal_.clear(); }
+    /**
+     * commit() and free the journal's storage, which commit() keeps
+     * for the next transaction: for a state built by one long run of
+     * writes (a genesis) that will not journal that much again.
+     */
+    void commitAndRelease() { std::vector<JournalEntry>().swap(journal_); }
 
     // -- copy-on-write overlay -------------------------------------------
     /**
@@ -129,7 +157,7 @@ class WorldState
      * The overlay's journal records exactly the fields the execution
      * mutated with the values it observed before mutating them, which
      * the speculative executor turns into a validatable delta set.
-     * digest() is not meaningful on an overlay.
+     * digest() is not defined on an overlay.
      */
     void
     bindBase(const WorldState *base)
@@ -137,6 +165,7 @@ class WorldState
         accounts_.clear();
         journal_.clear();
         base_ = base;
+        digestFresh_ = false;
     }
 
     const WorldState *overlayBase() const { return base_; }
@@ -148,10 +177,19 @@ class WorldState
     std::size_t accountCount() const { return accounts_.size(); }
 
     /**
-     * Order-independent digest of the full world state (accounts,
-     * balances, nonces, code hashes, storage). Two states with the
-     * same digest are identical for consensus purposes; used to verify
-     * serializability of parallel schedules.
+     * Commitment to the full world state (accounts, balances, nonces,
+     * code hashes, storage), independent of insertion order. Two
+     * states with the same digest are identical for consensus
+     * purposes; used to verify serializability of parallel schedules.
+     *
+     * Two-level and cached (DESIGN.md §16): each account's storage is
+     * hashed in 256 buckets keyed by the slot's low byte, and only the
+     * buckets, accounts and state hash that a setter or revert()
+     * touched since the last call are recomputed. Copies carry the
+     * caches. Not thread-safe on one object: the call fills mutable
+     * caches, so warm a state shared by several threads at a
+     * single-threaded point before they copy or read it.
+     * @throws std::logic_error on an overlay.
      */
     U256 digest() const;
 
@@ -164,12 +202,24 @@ class WorldState
      */
     Bytes toRlp() const;
 
+    /** Length of toRlp()'s encoding, computed without encoding. */
+    std::size_t rlpSize() const;
+
+    /**
+     * Append toRlp()'s encoding to @p out without a buffer of its own,
+     * so a caller that reserved rlpSize() more bytes holds the state's
+     * encoding once. Same preconditions as toRlp().
+     */
+    void appendRlp(Bytes &out) const;
+
     /**
      * Rebuild a state from toRlp() output. Code hashes are recomputed
      * from the code bytes, never trusted from the wire.
      * @throws std::invalid_argument on malformed input.
      */
     static WorldState fromRlp(const Bytes &encoded);
+    /** As fromRlp(Bytes), over @p len bytes at @p data. */
+    static WorldState fromRlp(const std::uint8_t *data, std::size_t len);
 
     /**
      * One undo record. Public (read-only via journal()) so the
@@ -209,10 +259,17 @@ class WorldState
     void noteRead(const Address &addr, const U256 &slot) const;
     void noteWrite(const Address &addr, const U256 &slot) const;
 
+    /** Commitment-cache invalidation for a changed scalar / code. */
+    void dirtyAccount(Account &acct);
+    /** ... and for a changed storage slot (its bucket too). */
+    void dirtySlot(Account &acct, const U256 &slot);
+
     std::unordered_map<U256, Account, U256Hash> accounts_;
     std::vector<JournalEntry> journal_;
     const WorldState *base_ = nullptr;
     mutable AccessSet *tracker_ = nullptr;
+    mutable U256 digest_;
+    mutable bool digestFresh_ = false;
 };
 
 } // namespace mtpu::evm

@@ -16,6 +16,11 @@ Auditor::Auditor(const evm::WorldState &genesis, const BlockRun &block,
                  const FaultPlan *plan, bool commutative_edges)
     : genesis_(genesis), block_(block), plan_(plan)
 {
+    // Warm point (DESIGN.md §16): fill genesis' commitment caches here,
+    // on the constructing thread, so the replays below start from warm
+    // copies and their digests rehash only what the block touched.
+    genesis_.digest();
+
     // Ground truth: recompute the conflict relation from the
     // consensus-stage access sets, which survive DAG degradation.
     bool have_access = false;

@@ -73,6 +73,9 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
                      support::ThreadPool *pool)
 {
     RecoveryResult res;
+    // Warm point (DESIGN.md §16): every copy of genesis below, and the
+    // replays' audits, start from its filled commitment caches.
+    const U256 genesis_digest = genesis.digest();
     res.state = genesis;
 
     auto fail = [&](const std::string &why) {
@@ -81,21 +84,42 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
         MTPU_OBS_COUNT("recovery.corruption_events", 1);
         return res;
     };
+    // Files of another format version are refused before anything is
+    // repaired or removed, so the data directory stays byte-identical.
+    auto refuse = [&](const std::string &file) {
+        res.ok = false;
+        res.error = file + " is persistence format v1 (chained state "
+                           "digest); this build reads format v2 only; "
+                           "the data directory was left untouched";
+        return res;
+    };
+
+    // 0. A format v1 log stops recovery here.
+    Bytes head;
+    store_->readRange(kWalFile, 0, 8, head);
+    if (head == legacyWalMagic())
+        return refuse(kWalFile);
 
     // 1. Newest snapshot that validates.
+    std::string legacy_snapshot;
     std::optional<LoadedSnapshot> snap =
-        snapshots_.loadNewest(&res.corruptSnapshots);
+        snapshots_.loadNewest(&res.corruptSnapshots, &legacy_snapshot);
     if (res.corruptSnapshots)
         MTPU_OBS_COUNT("recovery.corruption_events",
                        res.corruptSnapshots);
+    if (!legacy_snapshot.empty())
+        return refuse(legacy_snapshot);
 
-    // 2. WAL scan + tail repair.
-    Bytes raw;
-    store_->read(kWalFile, raw);
-    WalScanResult scan = scanWal(raw);
+    // 2. WAL scan + tail repair. The scan streams the log and keeps
+    //    the blocks of the records above the snapshot only: those are
+    //    all that replay, unless the snapshot turns out stale (below).
+    WalScanResult scan = scanWal(walSource(*store_, kWalFile),
+                                 [&](std::uint64_t height) {
+        return !snap || height > snap->height;
+    });
     if (scan.tailCorrupt) {
         res.walTailTruncated = true;
-        res.walTruncatedBytes = raw.size() - scan.validBytes;
+        res.walTruncatedBytes = store_->size(kWalFile) - scan.validBytes;
         MTPU_OBS_COUNT("recovery.truncated_records", 1);
         if (scan.validBytes == 0) {
             // Even the magic is damaged: the whole file is garbage.
@@ -117,7 +141,6 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
             return fail("WAL digest chain broken");
     }
 
-    U256 genesis_digest = genesis.digest();
     std::size_t replay_from = 0; // index into recs
     bool reset_wal_epoch = false;
 
@@ -129,7 +152,7 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
     // been pruned. Genesis linkage is therefore only enforced when
     // recovery actually replays from genesis.
     if (snap) {
-        res.state = snap->state;
+        res.state = std::move(snap->state);
         res.recoveredHeight = snap->height;
         res.usedSnapshot = true;
         res.snapshotHeight = snap->height;
@@ -163,7 +186,9 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
         } else if (recs.front().preDigest == genesis_digest) {
             // Snapshot predates the WAL base by more than one block
             // but the log reaches back to genesis: ignore the stale
-            // snapshot and replay the whole log.
+            // snapshot and replay the whole log, every block of it.
+            scan = scanWal(walSource(*store_, kWalFile),
+                           [](std::uint64_t) { return true; });
             res.state = genesis;
             res.recoveredHeight = 0;
             res.usedSnapshot = false;
@@ -212,7 +237,8 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
             if (receiptListDigest(block.txs) != rec.receiptDigest)
                 return fail("receipt digest mismatch at height "
                             + std::to_string(rec.height));
-            res.state = *out.stats.finalState;
+            // Moved: the audit's engine-state check warmed it.
+            res.state = std::move(*out.stats.finalState);
             res.state.commit();
             if (res.state.digest() != rec.postDigest)
                 return fail("replay post-state mismatch at height "
@@ -233,8 +259,8 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
 
     // Index records for the server's replay-skip verification and
     // open the WAL for appending.
-    for (const WalRecord &rec : recs)
-        records_.emplace(rec.height, rec);
+    for (WalRecord &rec : scan.records)
+        records_.emplace(rec.height, std::move(rec));
     recoveredHeight_ = res.recoveredHeight;
     wal_ = std::make_unique<WalWriter>(*store_);
     return res;

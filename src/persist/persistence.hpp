@@ -5,6 +5,10 @@
  * the crash-injection knob the kill-and-restart harness drives.
  *
  * Recovery protocol:
+ *  0. A WAL or snapshot of format v1 (chained state digest, replaced
+ *     by the state commitment of DESIGN.md §16) is refused as
+ *     unrecoverable before anything is repaired or removed; the data
+ *     directory stays byte-identical.
  *  1. Load the newest snapshot that validates (integrity hash + state
  *     digest); corrupt snapshots are counted and deleted so the
  *     fallback is stable across restarts.

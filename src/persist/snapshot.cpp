@@ -13,7 +13,9 @@ namespace mtpu::persist {
 
 namespace {
 
-const char kSnapMagic[] = "MTPUSNAP";
+const char kSnapMagic[] = "MTPUSNP2";
+/** Format v1: its chain digest is the replaced chained state digest. */
+const char kLegacySnapMagic[] = "MTPUSNAP";
 constexpr std::size_t kMagicLen = 8;
 constexpr std::size_t kHashLen = 32;
 
@@ -57,17 +59,24 @@ SnapshotStore::write(std::uint64_t height, const U256 &chain_digest,
 {
     auto start = std::chrono::steady_clock::now();
 
-    Bytes body = rlp::encode(rlp::Item::makeList(
-        {rlp::Item::word(U256(height)), rlp::Item::word(chain_digest),
-         rlp::Item::bytes(state.toRlp())}));
-
+    // Encoded straight into one exactly sized buffer: the file is the
+    // only state-sized allocation a snapshot makes.
+    const std::size_t state_len = state.rlpSize();
+    const std::size_t payload = rlp::wordSize(U256(height))
+                              + rlp::wordSize(chain_digest)
+                              + rlp::listSize(state_len);
     Bytes file;
-    file.reserve(kMagicLen + kHashLen + body.size());
-    file.insert(file.end(), kSnapMagic, kSnapMagic + kMagicLen);
-    std::uint8_t hash[kHashLen];
-    keccak256Word(body).toBytes(hash);
-    file.insert(file.end(), hash, hash + kHashLen);
-    file.insert(file.end(), body.begin(), body.end());
+    file.reserve(kMagicLen + kHashLen + rlp::listSize(payload));
+    file.assign(kSnapMagic, kSnapMagic + kMagicLen);
+    file.resize(kMagicLen + kHashLen); // the hash, filled in below
+    rlp::appendListHeader(file, payload);
+    rlp::appendWord(file, U256(height));
+    rlp::appendWord(file, chain_digest);
+    rlp::appendStringHeader(file, state_len);
+    state.appendRlp(file);
+    keccak256(file.data() + kMagicLen + kHashLen,
+              file.size() - kMagicLen - kHashLen,
+              file.data() + kMagicLen);
 
     if (!store_.writeAtomic(fileName(height), file))
         return false;
@@ -94,7 +103,8 @@ SnapshotStore::write(std::uint64_t height, const U256 &chain_digest,
 }
 
 std::optional<LoadedSnapshot>
-SnapshotStore::loadNewest(std::uint64_t *corrupt_out)
+SnapshotStore::loadNewest(std::uint64_t *corrupt_out,
+                          std::string *legacy_out)
 {
     std::vector<std::uint64_t> heights;
     for (const std::string &name : store_.list()) {
@@ -111,6 +121,14 @@ SnapshotStore::loadNewest(std::uint64_t *corrupt_out)
                 ++*corrupt_out;
             store_.remove(fileName(h));
             continue;
+        }
+        if (raw.size() >= kMagicLen
+            && std::equal(kLegacySnapMagic, kLegacySnapMagic + kMagicLen,
+                          raw.begin())) {
+            // Another format version, not damage: leave it and stop.
+            if (legacy_out)
+                *legacy_out = fileName(h);
+            return std::nullopt;
         }
         LoadedSnapshot snap;
         if (validate(raw, snap) && snap.height == h)
@@ -131,20 +149,22 @@ SnapshotStore::validate(const Bytes &raw, LoadedSnapshot &out)
         return false;
     if (!std::equal(kSnapMagic, kSnapMagic + kMagicLen, raw.begin()))
         return false;
-    Bytes body(raw.begin() + kMagicLen + kHashLen, raw.end());
+    const std::uint8_t *body = raw.data() + kMagicLen + kHashLen;
+    const std::size_t body_len = raw.size() - kMagicLen - kHashLen;
     std::uint8_t want[kHashLen];
-    keccak256Word(body).toBytes(want);
+    keccak256(body, body_len, want);
     if (!std::equal(want, want + kHashLen, raw.begin() + kMagicLen))
         return false;
 
     try {
-        rlp::Item root = rlp::decode(body);
-        if (!root.isList || root.list.size() != 3 || root.list[0].isList
-            || root.list[1].isList || root.list[2].isList)
+        rlp::Reader top(body, body_len);
+        rlp::Reader fields = top.list();
+        out.height = fields.word().low64();
+        out.chainDigest = fields.word();
+        const auto [state, state_len] = fields.bytes();
+        if (!fields.atEnd() || !top.atEnd())
             return false;
-        out.height = root.list[0].toWord().low64();
-        out.chainDigest = root.list[1].toWord();
-        out.state = evm::WorldState::fromRlp(root.list[2].str);
+        out.state = evm::WorldState::fromRlp(state, state_len);
     } catch (const std::invalid_argument &) {
         return false;
     }

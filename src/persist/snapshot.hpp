@@ -4,7 +4,7 @@
  *
  * File layout ("snapshot-<height>.snap", atomic temp-write + rename):
  *
- *     [8-byte magic "MTPUSNAP"][32-byte keccak256(body)][body]
+ *     [8-byte magic "MTPUSNP2"][32-byte keccak256(body)][body]
  *
  * where body is the RLP list [height, chainDigest, stateRlp] and
  * stateRlp is WorldState::toRlp(). A snapshot is valid only when the
@@ -59,12 +59,17 @@ class SnapshotStore
     /**
      * Load the newest snapshot that passes validation, deleting any
      * newer ones that fail (so the next run does not retry them).
+     * A format v1 file ("MTPUSNAP", chained state digest) is not
+     * damage: loading stops there and removes nothing further.
      * @param corrupt_out incremented once per rejected snapshot file.
+     * @param legacy_out set to the name of the v1 file that stopped
+     *        the load.
      * @return nullopt when no valid snapshot exists (start from
-     *         genesis).
+     *         genesis) or a v1 file was met.
      */
     std::optional<LoadedSnapshot>
-    loadNewest(std::uint64_t *corrupt_out = nullptr);
+    loadNewest(std::uint64_t *corrupt_out = nullptr,
+               std::string *legacy_out = nullptr);
 
     /** File name for @p height ("snapshot-000000001007.snap"). */
     static std::string fileName(std::uint64_t height);

@@ -95,6 +95,9 @@ FileStorage::read(const std::string &name, Bytes &out) const
     if (!fd.ok())
         return false;
     out.clear();
+    struct stat st;
+    if (::fstat(fd.get(), &st) == 0)
+        out.reserve(std::size_t(st.st_size));
     std::uint8_t buf[1 << 16];
     for (;;) {
         ssize_t n = ::read(fd.get(), buf, sizeof(buf));
@@ -107,6 +110,45 @@ FileStorage::read(const std::string &name, Bytes &out) const
             break;
         out.insert(out.end(), buf, buf + n);
     }
+    return true;
+}
+
+bool
+Storage::readRange(const std::string &name, std::uint64_t offset,
+                   std::uint64_t len, Bytes &out) const
+{
+    Bytes all;
+    if (!read(name, all))
+        return false;
+    const std::uint64_t from = std::min<std::uint64_t>(offset, all.size());
+    const std::uint64_t to =
+        from + std::min<std::uint64_t>(len, all.size() - from);
+    out.assign(all.begin() + long(from), all.begin() + long(to));
+    return true;
+}
+
+bool
+FileStorage::readRange(const std::string &name, std::uint64_t offset,
+                       std::uint64_t len, Bytes &out) const
+{
+    Fd fd(::open(path(name).c_str(), O_RDONLY));
+    if (!fd.ok())
+        return false;
+    out.resize(len);
+    std::uint64_t got = 0;
+    while (got < len) {
+        ssize_t n = ::pread(fd.get(), out.data() + got, len - got,
+                            off_t(offset + got));
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        if (n == 0)
+            break;
+        got += std::uint64_t(n);
+    }
+    out.resize(got);
     return true;
 }
 

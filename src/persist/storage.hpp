@@ -45,6 +45,16 @@ class Storage
     /** Read the whole file; false when missing or unreadable. */
     virtual bool read(const std::string &name, Bytes &out) const = 0;
 
+    /**
+     * Read up to @p len bytes of @p name starting at @p offset (fewer
+     * at the end of the file, none past it); false when missing or
+     * unreadable. The default reads the whole file and keeps the
+     * range; FileStorage reads only the range, so a scan through it
+     * holds one range in memory, not the file.
+     */
+    virtual bool readRange(const std::string &name, std::uint64_t offset,
+                           std::uint64_t len, Bytes &out) const;
+
     /** Atomically publish a complete file: temp write + fsync +
      *  rename. Readers see the old content or the new, never a mix. */
     virtual bool writeAtomic(const std::string &name,
@@ -79,6 +89,8 @@ class FileStorage : public Storage
     bool append(const std::string &name, const Bytes &data) override;
     bool sync(const std::string &name) override;
     bool read(const std::string &name, Bytes &out) const override;
+    bool readRange(const std::string &name, std::uint64_t offset,
+                   std::uint64_t len, Bytes &out) const override;
     bool writeAtomic(const std::string &name,
                      const Bytes &data) override;
     bool truncate(const std::string &name, std::uint64_t size) override;

@@ -1,5 +1,7 @@
 #include "persist/wal.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -21,6 +23,16 @@ readU32(const Bytes &raw, std::uint64_t off)
         | (std::uint32_t(raw[off + 3]) << 24);
 }
 
+/** Copy up to @p len bytes of @p all at @p offset into @p out. */
+void
+copyRange(const Bytes &all, std::uint64_t offset, std::uint64_t len,
+          Bytes &out)
+{
+    const std::uint64_t from = std::min<std::uint64_t>(offset, all.size());
+    const std::uint64_t n = std::min<std::uint64_t>(len, all.size() - from);
+    out.assign(all.begin() + long(from), all.begin() + long(from + n));
+}
+
 void
 putU32(Bytes &out, std::uint32_t v)
 {
@@ -34,6 +46,13 @@ putU32(Bytes &out, std::uint32_t v)
 
 Bytes
 walMagic()
+{
+    static const char magic[] = "MTPUWAL2";
+    return Bytes(magic, magic + 8);
+}
+
+Bytes
+legacyWalMagic()
 {
     static const char magic[] = "MTPUWAL1";
     return Bytes(magic, magic + 8);
@@ -81,35 +100,79 @@ walFrame(const Bytes &payload)
 WalScanResult
 scanWal(const Bytes &raw)
 {
+    return scanWal(
+        [&raw](std::uint64_t offset, std::uint64_t len, Bytes &out) {
+            copyRange(raw, offset, len, out);
+            return true;
+        },
+        [](std::uint64_t) { return true; });
+}
+
+WalSource
+walSource(const Storage &store, const std::string &name)
+{
+    constexpr std::uint64_t kChunk = 1u << 20;
+    struct Chunk
+    {
+        Bytes bytes;
+        std::uint64_t start = 0;
+        bool loaded = false;
+    };
+    auto chunk = std::make_shared<Chunk>();
+    return [&store, name, chunk](std::uint64_t offset, std::uint64_t len,
+                                 Bytes &out) {
+        if (len > kChunk)
+            return store.readRange(name, offset, len, out);
+        Chunk &c = *chunk;
+        if (!c.loaded || offset < c.start
+            || offset + len > c.start + c.bytes.size()) {
+            c.loaded = store.readRange(name, offset, kChunk, c.bytes);
+            c.start = offset;
+            if (!c.loaded)
+                return false;
+        }
+        copyRange(c.bytes, offset - c.start, len, out);
+        return true;
+    };
+}
+
+WalScanResult
+scanWal(const WalSource &source,
+        const std::function<bool(std::uint64_t)> &keepBlock)
+{
     WalScanResult res;
-    if (raw.empty())
+    Bytes head;
+    if (!source(0, 8, head) || head.empty())
         return res;
 
-    Bytes magic = walMagic();
-    if (raw.size() < magic.size()
-        || !std::equal(magic.begin(), magic.end(), raw.begin())) {
+    if (head == legacyWalMagic()) {
+        res.legacyFormat = true;
+        res.note = "WAL format v1 (MTPUWAL1)";
+        return res;
+    }
+    if (head != walMagic()) {
         res.tailCorrupt = true;
         res.note = "bad magic";
         return res;
     }
 
-    std::uint64_t off = magic.size();
+    std::uint64_t off = head.size();
     res.validBytes = off;
-    while (off < raw.size()) {
-        if (raw.size() - off < 8) {
+    Bytes payload;
+    while (source(off, 8, head) && !head.empty()) {
+        if (head.size() < 8) {
             res.tailCorrupt = true;
             res.note = "truncated frame header";
             break;
         }
-        std::uint64_t len = readU32(raw, off);
-        std::uint32_t crc = readU32(raw, off + 4);
-        if (len > kMaxPayload || raw.size() - off - 8 < len) {
+        std::uint64_t len = readU32(head, 0);
+        std::uint32_t crc = readU32(head, 4);
+        if (len > kMaxPayload || !source(off + 8, len, payload)
+            || payload.size() < len) {
             res.tailCorrupt = true;
             res.note = "frame extends past end of file";
             break;
         }
-        Bytes payload(raw.begin() + long(off) + 8,
-                      raw.begin() + long(off) + 8 + long(len));
         if (crc32(payload) != crc) {
             res.tailCorrupt = true;
             res.note = "CRC mismatch";
@@ -126,6 +189,8 @@ scanWal(const Bytes &raw)
             res.note = "undecodable payload";
             break;
         }
+        if (!keepBlock(rec.height))
+            Bytes().swap(rec.blockRlp);
         res.records.push_back(std::move(rec));
         off += 8 + len;
         res.validBytes = off;

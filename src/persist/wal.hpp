@@ -2,7 +2,7 @@
  * @file
  * Block-granular write-ahead log (DESIGN.md §12).
  *
- * File layout: an 8-byte magic ("MTPUWAL1") followed by CRC-framed
+ * File layout: an 8-byte magic ("MTPUWAL2") followed by CRC-framed
  * records, one per committed block:
  *
  *     [u32 payload length LE][u32 CRC32(payload) LE][RLP payload]
@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,13 @@ inline const char *const kWalFile = "wal.log";
 
 /** 8-byte magic at offset 0 of every WAL file. */
 Bytes walMagic();
+
+/**
+ * Magic of format v1 ("MTPUWAL1"), whose digests use the chained state
+ * digest that v2's state commitment replaced (DESIGN.md §12, §16).
+ * Such a log is refused, never repaired.
+ */
+Bytes legacyWalMagic();
 
 /** One committed block as persisted in the WAL. */
 struct WalRecord
@@ -74,17 +82,39 @@ struct WalScanResult
     std::vector<WalRecord> records; ///< decoded valid prefix
     std::uint64_t validBytes = 0;   ///< end offset of the valid prefix
     bool tailCorrupt = false;       ///< bytes past validBytes are damaged
+    bool legacyFormat = false;      ///< format v1 log: not scanned at all
     std::string note;               ///< why the scan stopped early
 };
 
 /**
  * Scan a raw WAL image. Byte-level damage (bad magic, short frame,
  * CRC mismatch, undecodable payload) stops the scan and sets
- * tailCorrupt; records decoded before that point are returned. An
+ * tailCorrupt; records decoded before that point are returned. A
+ * format v1 image sets legacyFormat instead and is not scanned. An
  * empty image is valid (fresh log). Semantic validation of the record
  * sequence (height continuity, digest chaining) is recovery's job.
  */
 WalScanResult scanWal(const Bytes &raw);
+
+/**
+ * Piecewise access to a WAL image: fills @p out with up to @p len
+ * bytes at @p offset (fewer at the end, none past it); false when the
+ * image cannot be read, which the scan treats as its end.
+ */
+using WalSource = std::function<bool(std::uint64_t offset,
+                                     std::uint64_t len, Bytes &out)>;
+
+/** A WalSource over @p name in @p store, read in 1 MiB chunks. */
+WalSource walSource(const Storage &store, const std::string &name);
+
+/**
+ * As scanWal(raw), reading through @p source. A record keeps its
+ * blockRlp only when @p keepBlock(height) is true; the others come back
+ * with it empty. Recovery keeps only the blocks it replays, so its
+ * memory does not grow with the length of the log.
+ */
+WalScanResult scanWal(const WalSource &source,
+                      const std::function<bool(std::uint64_t)> &keepBlock);
 
 /**
  * Appender. Assumes recovery has already truncated the file to a

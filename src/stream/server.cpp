@@ -102,7 +102,10 @@ StreamServer::run(const Producer &producer, std::uint64_t slots)
         }
 
         // The pre-state digest anchors this block's WAL record into
-        // the digest chain; only computed when persisting.
+        // the digest chain; only computed when persisting. It is also
+        // the single-threaded warm point of chain_'s commitment caches
+        // (DESIGN.md §16) before the audit's replays copy it on the
+        // pool.
         U256 pre_digest;
         if (persist_)
             pre_digest = chain_.digest();
@@ -159,7 +162,9 @@ StreamServer::run(const Producer &producer, std::uint64_t slots)
             ++rep.auditFailures;
             break;
         }
-        chain_ = *res.stats.finalState;
+        // Moved, not copied: chain_ keeps the caches the audit's
+        // engine-state check warmed, so the post-digest is a read.
+        chain_ = std::move(*res.stats.finalState);
         chain_.commit();
 
         // 3b. Durability: append the committed block to the WAL

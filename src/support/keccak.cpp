@@ -120,7 +120,8 @@ keccak256(const std::uint8_t *data, std::size_t len, std::uint8_t out[32])
 
     // Final padded block: pad10*1 with Keccak domain byte 0x01.
     std::memset(block, 0, rate);
-    std::memcpy(block, data + offset, len - offset);
+    if (len > offset) // data may be null when len == 0
+        std::memcpy(block, data + offset, len - offset);
     block[len - offset] = 0x01;
     block[rate - 1] |= 0x80;
     for (std::size_t i = 0; i < rate / 8; ++i) {

@@ -65,106 +65,94 @@ appendLength(Bytes &out, std::size_t len, std::uint8_t short_base,
     out.insert(out.end(), len_bytes.begin(), len_bytes.end());
 }
 
+} // namespace
+
+void
+appendBytes(Bytes &out, const std::uint8_t *data, std::size_t len)
+{
+    if (len == 1 && data[0] < 0x80) {
+        out.push_back(data[0]);
+        return;
+    }
+    appendLength(out, len, 0x80, 0xb7);
+    out.insert(out.end(), data, data + len);
+}
+
+void
+appendWord(Bytes &out, const U256 &v)
+{
+    std::uint8_t buf[32];
+    v.toBytes(buf);
+    const int len = v.byteLength();
+    appendBytes(out, buf + 32 - len, std::size_t(len));
+}
+
+void
+appendListHeader(Bytes &out, std::size_t payload)
+{
+    appendLength(out, payload, 0xc0, 0xf7);
+}
+
+void
+appendStringHeader(Bytes &out, std::size_t len)
+{
+    appendLength(out, len, 0x80, 0xb7);
+}
+
+std::size_t
+listSize(std::size_t payload)
+{
+    std::size_t header = 1;
+    if (payload > 55)
+        for (std::size_t v = payload; v; v >>= 8)
+            ++header;
+    return header + payload;
+}
+
+std::size_t
+bytesSize(const std::uint8_t *data, std::size_t len)
+{
+    return len == 1 && data[0] < 0x80 ? 1 : listSize(len);
+}
+
+std::size_t
+wordSize(const U256 &v)
+{
+    const int len = v.byteLength();
+    if (len == 1 && v.low64() < 0x80)
+        return 1;
+    return 1 + std::size_t(len);
+}
+
+namespace {
+
 void
 encodeInto(const Item &item, Bytes &out)
 {
     if (!item.isList) {
-        if (item.str.size() == 1 && item.str[0] < 0x80) {
-            out.push_back(item.str[0]);
-            return;
-        }
-        appendLength(out, item.str.size(), 0x80, 0xb7);
-        out.insert(out.end(), item.str.begin(), item.str.end());
+        appendBytes(out, item.str.data(), item.str.size());
         return;
     }
     Bytes payload;
     for (const Item &child : item.list)
         encodeInto(child, payload);
-    appendLength(out, payload.size(), 0xc0, 0xf7);
+    appendListHeader(out, payload.size());
     out.insert(out.end(), payload.begin(), payload.end());
 }
 
-struct Cursor
+Item
+decodeItem(Reader &r)
 {
-    const Bytes &data;
-    std::size_t pos = 0;
-
-    std::uint8_t
-    peek() const
-    {
-        if (pos >= data.size())
-            throw std::invalid_argument("rlp: truncated input");
-        return data[pos];
-    }
-
-    Bytes
-    take(std::size_t n)
-    {
-        if (pos + n > data.size())
-            throw std::invalid_argument("rlp: truncated input");
-        Bytes out(data.begin() + pos, data.begin() + pos + n);
-        pos += n;
+    if (r.nextIsList()) {
+        Reader sub = r.list();
+        Item out;
+        out.isList = true;
+        while (!sub.atEnd())
+            out.list.push_back(decodeItem(sub));
         return out;
     }
-
-    std::size_t
-    takeLength(std::size_t n_bytes)
-    {
-        if (n_bytes > 8)
-            throw std::invalid_argument("rlp: length too large");
-        Bytes raw = take(n_bytes);
-        if (!raw.empty() && raw[0] == 0)
-            throw std::invalid_argument("rlp: non-canonical length");
-        std::size_t len = 0;
-        for (std::uint8_t b : raw)
-            len = (len << 8) | b;
-        if (len <= 55)
-            throw std::invalid_argument("rlp: non-canonical length");
-        return len;
-    }
-};
-
-Item decodeOne(Cursor &cur);
-
-Item
-decodeList(Cursor &cur, std::size_t payload_len)
-{
-    std::size_t end = cur.pos + payload_len;
-    if (end > cur.data.size())
-        throw std::invalid_argument("rlp: truncated list");
-    Item out;
-    out.isList = true;
-    while (cur.pos < end)
-        out.list.push_back(decodeOne(cur));
-    if (cur.pos != end)
-        throw std::invalid_argument("rlp: list overrun");
-    return out;
-}
-
-Item
-decodeOne(Cursor &cur)
-{
-    std::uint8_t tag = cur.peek();
-    if (tag < 0x80) {
-        return Item::bytes(cur.take(1));
-    } else if (tag <= 0xb7) {
-        cur.pos++;
-        Bytes payload = cur.take(tag - 0x80);
-        if (payload.size() == 1 && payload[0] < 0x80)
-            throw std::invalid_argument("rlp: non-canonical single byte");
-        return Item::bytes(std::move(payload));
-    } else if (tag <= 0xbf) {
-        cur.pos++;
-        std::size_t len = cur.takeLength(tag - 0xb7);
-        return Item::bytes(cur.take(len));
-    } else if (tag <= 0xf7) {
-        cur.pos++;
-        return decodeList(cur, tag - 0xc0);
-    } else {
-        cur.pos++;
-        std::size_t len = cur.takeLength(tag - 0xf7);
-        return decodeList(cur, len);
-    }
+    const auto [data, len] = r.bytes();
+    return Item::bytes(Bytes(data, data + len));
 }
 
 } // namespace
@@ -180,11 +168,93 @@ encode(const Item &item)
 Item
 decode(const Bytes &data)
 {
-    Cursor cur{data};
-    Item out = decodeOne(cur);
-    if (cur.pos != data.size())
+    Reader r(data.data(), data.size());
+    Item out = decodeItem(r);
+    if (!r.atEnd())
         throw std::invalid_argument("rlp: trailing bytes");
     return out;
+}
+
+Reader::Header
+Reader::peekHeader() const
+{
+    if (pos_ >= end_)
+        throw std::invalid_argument("rlp: truncated input");
+    const std::uint8_t tag = data_[pos_];
+    Header h;
+    std::size_t at = pos_ + 1;
+    // Long-form length: big-endian, no leading zero, above 55.
+    auto long_length = [&](std::size_t n_bytes) {
+        if (n_bytes > 8)
+            throw std::invalid_argument("rlp: length too large");
+        if (at + n_bytes > end_)
+            throw std::invalid_argument("rlp: truncated input");
+        if (data_[at] == 0)
+            throw std::invalid_argument("rlp: non-canonical length");
+        std::size_t len = 0;
+        for (std::size_t i = 0; i < n_bytes; ++i)
+            len = (len << 8) | data_[at + i];
+        if (len <= 55)
+            throw std::invalid_argument("rlp: non-canonical length");
+        at += n_bytes;
+        return len;
+    };
+    if (tag < 0x80) {
+        h.begin = pos_;
+        h.len = 1;
+    } else if (tag <= 0xb7) {
+        h.len = tag - 0x80;
+    } else if (tag <= 0xbf) {
+        h.len = long_length(tag - 0xb7);
+    } else if (tag <= 0xf7) {
+        h.isList = true;
+        h.len = tag - 0xc0;
+    } else {
+        h.isList = true;
+        h.len = long_length(tag - 0xf7);
+    }
+    if (tag >= 0x80)
+        h.begin = at;
+    if (h.len > end_ - h.begin)
+        throw std::invalid_argument("rlp: truncated input");
+    if (tag >= 0x80 && tag <= 0xb7 && h.len == 1 && data_[h.begin] < 0x80)
+        throw std::invalid_argument("rlp: non-canonical single byte");
+    return h;
+}
+
+bool
+Reader::nextIsList() const
+{
+    return peekHeader().isList;
+}
+
+Reader
+Reader::list()
+{
+    const Header h = peekHeader();
+    if (!h.isList)
+        throw std::invalid_argument("rlp: expected a list");
+    pos_ = h.begin + h.len;
+    return Reader(data_ + h.begin, h.len);
+}
+
+std::pair<const std::uint8_t *, std::size_t>
+Reader::bytes()
+{
+    const Header h = peekHeader();
+    if (h.isList)
+        throw std::invalid_argument("rlp: list is not a byte string");
+    pos_ = h.begin + h.len;
+    return {data_ + h.begin, h.len};
+}
+
+U256
+Reader::word()
+{
+    const auto [data, len] = bytes();
+    if (len > 32)
+        throw std::invalid_argument("rlp: word longer than 32 bytes");
+    return U256::fromBytes(data, len);
 }
 
 } // namespace mtpu::rlp

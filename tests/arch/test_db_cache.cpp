@@ -179,6 +179,19 @@ TEST_F(DbCacheTest, SingleInstructionLinesAreDiscarded)
     EXPECT_EQ(cache.singles()[0].pc, 0u);
 }
 
+TEST_F(DbCacheTest, SingleSideSpaceIsBounded)
+{
+    // Nobody harvests the side space in a long run: it must stop
+    // growing at its capacity while the discard count keeps counting.
+    const std::size_t n = DbCache::kSideSpaceEntries + 10;
+    for (std::uint32_t pc = 0; pc < n; ++pc)
+        cache.observe({kCode, pc}, ev(pc, Op::JUMP), 0);
+    EXPECT_EQ(cache.stats().singleDiscarded, n);
+    ASSERT_EQ(cache.singles().size(), DbCache::kSideSpaceEntries);
+    EXPECT_EQ(cache.singles().back().pc,
+              std::uint32_t(DbCache::kSideSpaceEntries - 1));
+}
+
 TEST_F(DbCacheTest, LookupMissesOnUnknownAddress)
 {
     feed({{0, Op::PUSH1}, {2, Op::PUSH1}, {4, Op::JUMP}});

@@ -51,6 +51,31 @@ TEST(FileStorage, AppendReadSizeRoundTrip)
     EXPECT_EQ(out, bytes("hello world"));
 }
 
+TEST(FileStorage, ReadRangeMatchesTheDefaultOverWholeReads)
+{
+    // FileStorage reads the range itself; a decorator without its own
+    // readRange gets the default, which slices a whole read. Both must
+    // agree, including ranges that run past the end.
+    TempDir t;
+    FileStorage fs(t.path);
+    fault::StorageFaultParams params;
+    fault::FaultyStorage decorated(fs, params);
+    ASSERT_TRUE(fs.append("a", bytes("hello world")));
+    for (const Storage *store : {static_cast<const Storage *>(&fs),
+                                 static_cast<const Storage *>(&decorated)}) {
+        Bytes out;
+        ASSERT_TRUE(store->readRange("a", 6, 5, out));
+        EXPECT_EQ(out, bytes("world"));
+        ASSERT_TRUE(store->readRange("a", 6, 100, out));
+        EXPECT_EQ(out, bytes("world"));
+        ASSERT_TRUE(store->readRange("a", 11, 4, out));
+        EXPECT_TRUE(out.empty());
+        ASSERT_TRUE(store->readRange("a", 40, 4, out));
+        EXPECT_TRUE(out.empty());
+        EXPECT_FALSE(store->readRange("missing", 0, 4, out));
+    }
+}
+
 TEST(FileStorage, TruncateRemoveList)
 {
     TempDir t;

@@ -50,7 +50,8 @@
  *   4  overload abort — stream shed ratio exceeded --max-shed-ratio
  *   5  unrecoverable corruption — the durable history is semantically
  *      damaged (height gap, digest-chain break, snapshot/WAL
- *      divergence) or diverges from the deterministic re-feed
+ *      divergence), is of persistence format v1, or diverges from the
+ *      deterministic re-feed
  *  42  injected crash (MTPU_CRASH_AT_SLOT) — harness use only
  */
 
