@@ -166,9 +166,10 @@ Halt runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
  * data), and the computed-goto dispatch that leaves a handler runs no
  * destructors. Returning from a function does. Halt::None means
  * "continue at the next instruction" (neither opcode stops the frame
- * normally).
+ * normally). Never inlined: runDecoded() keeps only their frames live
+ * while the nested frame runs.
  */
-Halt
+[[gnu::noinline]] Halt
 execCreate(FastCtx &ctx, FastFrame &frame, const DecodedInstr &d,
            const CallParams &params)
 {
@@ -257,7 +258,7 @@ execCreate(FastCtx &ctx, FastFrame &frame, const DecodedInstr &d,
     return Halt::None;
 }
 
-Halt
+[[gnu::noinline]] Halt
 execCall(FastCtx &ctx, FastFrame &frame, const DecodedInstr &d,
          const CallParams &params)
 {
@@ -353,19 +354,23 @@ execCall(FastCtx &ctx, FastFrame &frame, const DecodedInstr &d,
 }
 
 /**
- * Execute one frame over a decoded program. Same contract as the
- * reference runFrame(): returns the halt reason (None on STOP /
- * RETURN / REVERT / fall-off), @p reverted distinguishes REVERT.
+ * Execute one frame from instruction @p ip until it halts or reaches a
+ * CREATE/CALL-family instruction, which is left in @p pending with its
+ * prologue done. Returns the halt reason as runDecoded() does.
+ *
+ * Kept out of line, and out of the nested call's way: under ASan every
+ * handler's locals get their own stack slots (about 29 KB), and a frame
+ * that stayed live across the nested frame would multiply that by the
+ * call depth.
  */
-Halt
-runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
-           const CallParams &params, Bytes &output, bool &reverted)
+[[gnu::noinline]] Halt
+runUntilSwitch(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
+               const CallParams &params, std::size_t ip, Bytes &output,
+               bool &reverted, const DecodedInstr *&pending)
 {
-    reverted = false;
     WorldState &state = ctx.state;
     std::vector<U256> &stack = frame.stack;
     const std::size_t count = prog.instrs.size();
-    std::size_t ip = 0;
     const DecodedInstr *d = nullptr;
 
     auto pop = [&stack]() {
@@ -919,21 +924,15 @@ runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
     }
 
     // --- context switching ---------------------------------------------
-    OP(Create) : { // CREATE and CREATE2 (d->arg == 1)
-        PRE();
-        if (Halt h = execCreate(ctx, frame, *d, params); h != Halt::None)
-            return h;
-        NEXT();
-    }
+    OP(Create) : // CREATE and CREATE2 (d->arg == 1)
     OP(Call) : // CALL/CALLCODE/DELEGATECALL/STATICCALL share this body
 #if !MTPU_CGOTO
     OP(Callcode) : OP(Delegatecall) : OP(Staticcall) :
 #endif
     {
         PRE();
-        if (Halt h = execCall(ctx, frame, *d, params); h != Halt::None)
-            return h;
-        NEXT();
+        pending = d;
+        return Halt::None;
     }
 
     // --- logging -------------------------------------------------------
@@ -980,6 +979,32 @@ runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
 #undef OP
 #undef DISPATCH
 #undef NEXT
+}
+
+/**
+ * Execute one frame over a decoded program. Same contract as the
+ * reference runFrame(): returns the halt reason (None on STOP /
+ * RETURN / REVERT / fall-off), @p reverted distinguishes REVERT.
+ */
+Halt
+runDecoded(FastCtx &ctx, FastFrame &frame, const DecodedProgram &prog,
+           const CallParams &params, Bytes &output, bool &reverted)
+{
+    reverted = false;
+    std::size_t ip = 0;
+    for (;;) {
+        const DecodedInstr *pending = nullptr;
+        Halt h = runUntilSwitch(ctx, frame, prog, params, ip, output,
+                                reverted, pending);
+        if (!pending)
+            return h;
+        h = pending->op == FOp::Create
+                ? execCreate(ctx, frame, *pending, params)
+                : execCall(ctx, frame, *pending, params);
+        if (h != Halt::None)
+            return h;
+        ip = std::size_t(pending - prog.instrs.data()) + 1;
+    }
 }
 
 /** Mirrors Interpreter::call exactly, on decoded programs. */

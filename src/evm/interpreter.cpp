@@ -121,6 +121,20 @@ struct Frame
 
     explicit Frame(const Bytes &c) : code(c), jumpdests(findJumpdests(c)) {}
 
+    Slot
+    pop()
+    {
+        Slot s = stack.back();
+        stack.pop_back();
+        return s;
+    }
+
+    void
+    push(const U256 &v, Taint t)
+    {
+        stack.push_back({v, t, -1, U256()});
+    }
+
     bool
     chargeGas(std::uint64_t amount)
     {
@@ -213,20 +227,37 @@ intrinsicGas(const Transaction &tx)
 namespace {
 
 /**
- * Execute the body of one frame. Returns the halt reason (None on
- * normal STOP/RETURN/REVERT). @p reverted distinguishes REVERT.
+ * A CREATE/CALL-family instruction runUntilSwitch() stopped at: the
+ * opcode has passed the common checks, paid its base gas and opened
+ * its trace event; execCreate()/execCall() carry it out.
  */
-Halt
-runFrame(ExecContext &ctx, Frame &frame, const CallParams &params,
-         Bytes &output, bool &reverted)
+struct ContextSwitch
 {
-    reverted = false;
+    bool pending = false;
+    Op op = Op::STOP;
+    std::uint64_t gasBefore = 0; ///< frame gas before the base charge
+    std::size_t eventIdx = 0;    ///< the instruction's trace event
+};
+
+Halt runFrame(ExecContext &ctx, Frame &frame, const CallParams &params,
+              Bytes &output, bool &reverted);
+
+/**
+ * Execute one frame until it halts or reaches a CREATE/CALL-family
+ * instruction (@p sw.pending). Returns the halt reason (None on
+ * normal STOP/RETURN/REVERT). @p reverted distinguishes REVERT.
+ *
+ * Kept out of line, and out of the nested call's way: under ASan every
+ * local of every opcode case gets its own stack slot (about 46 KB), and
+ * a frame that stayed live across the nested frame would multiply that
+ * by the call depth.
+ */
+[[gnu::noinline]] Halt
+runUntilSwitch(ExecContext &ctx, Frame &frame, const CallParams &params,
+               std::uint16_t code_id, Bytes &output, bool &reverted,
+               ContextSwitch &sw)
+{
     WorldState &state = ctx.state;
-    std::uint16_t code_id = 0;
-    if (ctx.trace) {
-        code_id = ctx.trace->internCode(params.codeFrom,
-                                        std::uint32_t(frame.code.size()));
-    }
 
     auto stack_taint = [&frame](int n) {
         Taint t = Taint::Constant;
@@ -276,14 +307,8 @@ runFrame(ExecContext &ctx, Frame &frame, const CallParams &params,
             event_idx = ctx.trace->events.size() - 1;
         }
 
-        auto pop = [&frame]() {
-            Slot s = frame.stack.back();
-            frame.stack.pop_back();
-            return s;
-        };
-        auto push = [&frame](const U256 &v, Taint t) {
-            frame.stack.push_back({v, t});
-        };
+        auto pop = [&frame]() { return frame.pop(); };
+        auto push = [&frame](const U256 &v, Taint t) { frame.push(v, t); };
 
         // Commutative-chain detection (observational; DESIGN.md §14):
         // any opcode outside the small affine/compare whitelist that
@@ -945,184 +970,16 @@ runFrame(ExecContext &ctx, Frame &frame, const CallParams &params,
 
           // --- context switching --------------------------------------------
           case Op::CREATE:
-          case Op::CREATE2: {
-              if (params.isStatic)
-                  return Halt::StaticViolation;
-              Slot value = pop(), off = pop(), size = pop();
-              U256 salt;
-              if (op == Op::CREATE2)
-                  salt = pop().value;
-              std::uint64_t o = off.value.fitsU64() ? off.value.low64()
-                                                    : ~0ull;
-              std::uint64_t s = size.value.fitsU64() ? size.value.low64()
-                                                     : ~0ull;
-              if (!frame.touchMemory(o, s))
-                  return Halt::OutOfGas;
-              Bytes init;
-              if (s)
-                  init.assign(frame.memory.begin() + o,
-                              frame.memory.begin() + o + s);
-
-              Address created;
-              if (op == Op::CREATE) {
-                  created = createAddress(params.to,
-                                          state.nonce(params.to));
-              } else {
-                  Bytes buf;
-                  buf.push_back(0xff);
-                  std::uint8_t tmp[32];
-                  params.to.toBytes(tmp);
-                  buf.insert(buf.end(), tmp + 12, tmp + 32);
-                  salt.toBytes(tmp);
-                  buf.insert(buf.end(), tmp, tmp + 32);
-                  U256 init_hash = keccak256Word(init);
-                  init_hash.toBytes(tmp);
-                  buf.insert(buf.end(), tmp, tmp + 32);
-                  created = toAddress(keccak256Word(buf));
-              }
-              state.incNonce(params.to);
-
-              if (params.depth + 1 > kMaxCallDepth
-                  || state.balance(params.to) < value.value) {
-                  push(U256(), Taint::Dynamic);
-                  finish_event(std::uint32_t(s));
-                  continue;
-              }
-
-              auto snap = state.snapshot();
-              state.createAccount(created);
-              state.subBalance(params.to, value.value);
-              state.addBalance(created, value.value);
-
-              std::uint64_t fwd_gas = frame.gas - frame.gas / 64;
-              CallParams sub;
-              sub.caller = params.to;
-              sub.to = created;
-              sub.codeFrom = created;
-              sub.value = value.value;
-              sub.gas = fwd_gas;
-              sub.depth = params.depth + 1;
-
-              // Run the init code; output becomes the account code.
-              Frame init_frame(init);
-              init_frame.gas = fwd_gas;
-              Bytes deployed;
-              bool sub_rev = false;
-              Halt h = runFrame(ctx, init_frame, sub, deployed, sub_rev);
-              std::uint64_t used = fwd_gas - init_frame.gas;
-              frame.gas -= (h == Halt::None && !sub_rev)
-                               ? used
-                               : (h == Halt::None ? used : fwd_gas);
-              if (h == Halt::None && !sub_rev) {
-                  state.setCode(created, deployed);
-                  push(created, Taint::Dynamic);
-              } else {
-                  state.revert(snap);
-                  push(U256(), Taint::Dynamic);
-              }
-              frame.returnData.clear();
-              finish_event(std::uint32_t(s));
-              continue;
-          }
+          case Op::CREATE2:
           case Op::CALL:
           case Op::CALLCODE:
           case Op::DELEGATECALL:
-          case Op::STATICCALL: {
-              Slot gas_slot = pop(), addr_slot = pop();
-              U256 value;
-              if (op == Op::CALL || op == Op::CALLCODE)
-                  value = pop().value;
-              Slot in_off = pop(), in_size = pop(), out_off = pop(),
-                   out_size = pop();
-
-              if (op == Op::CALL && params.isStatic && !value.isZero())
-                  return Halt::StaticViolation;
-
-              std::uint64_t io = in_off.value.fitsU64()
-                                     ? in_off.value.low64() : ~0ull;
-              std::uint64_t is = in_size.value.fitsU64()
-                                     ? in_size.value.low64() : ~0ull;
-              std::uint64_t oo = out_off.value.fitsU64()
-                                     ? out_off.value.low64() : ~0ull;
-              std::uint64_t os = out_size.value.fitsU64()
-                                     ? out_size.value.low64() : ~0ull;
-              if (!frame.touchMemory(io, is) || !frame.touchMemory(oo, os))
-                  return Halt::OutOfGas;
-
-              if (!value.isZero()
-                  && !frame.chargeGas(GasCosts::kCallValue)) {
-                  return Halt::OutOfGas;
-              }
-
-              Address target = toAddress(addr_slot.value);
-              Bytes input;
-              if (is)
-                  input.assign(frame.memory.begin() + io,
-                               frame.memory.begin() + io + is);
-
-              std::uint64_t max_fwd = frame.gas - frame.gas / 64;
-              std::uint64_t req = gas_slot.value.fitsU64()
-                                      ? gas_slot.value.low64()
-                                      : max_fwd;
-              std::uint64_t fwd = req < max_fwd ? req : max_fwd;
-              if (!value.isZero())
-                  fwd += GasCosts::kCallStipend;
-
-              CallParams sub;
-              sub.caller = (op == Op::DELEGATECALL) ? params.caller
-                                                    : params.to;
-              sub.codeFrom = target;
-              sub.to = (op == Op::CALL || op == Op::STATICCALL)
-                           ? target
-                           : params.to;
-              sub.value = (op == Op::DELEGATECALL) ? params.value : value;
-              sub.input = std::move(input);
-              sub.gas = fwd;
-              sub.isStatic = params.isStatic || op == Op::STATICCALL;
-              sub.depth = params.depth + 1;
-
-              bool ok;
-              CallResult res;
-              if (params.depth + 1 > kMaxCallDepth) {
-                  ok = false;
-                  res.gasUsed = 0;
-              } else if (op == Op::CALL && !value.isZero()
-                         && state.balance(params.to) < value) {
-                  ok = false;
-                  res.gasUsed = 0;
-              } else {
-                  auto snap = state.snapshot();
-                  if (op == Op::CALL && !value.isZero()) {
-                      state.subBalance(params.to, value);
-                      state.addBalance(target, value);
-                  }
-                  res = ctx.interp->call(state, ctx.header, ctx.origin,
-                                         ctx.gasPrice, sub, ctx.trace);
-                  ok = res.success;
-                  if (!ok)
-                      state.revert(snap);
-              }
-              std::uint64_t charge = res.gasUsed < fwd ? res.gasUsed : fwd;
-              // The stipend is free to the caller.
-              std::uint64_t stipend = value.isZero()
-                                          ? 0 : GasCosts::kCallStipend;
-              charge = charge > stipend ? charge - stipend : 0;
-              if (!frame.chargeGas(charge))
-                  return Halt::OutOfGas;
-
-              frame.returnData = res.returnData;
-              frame.returnDataTaint = Taint::Dynamic;
-              std::uint64_t copy = res.returnData.size() < os
-                                       ? res.returnData.size()
-                                       : os;
-              if (copy)
-                  std::memcpy(frame.memory.data() + oo,
-                              res.returnData.data(), copy);
-              frame.setMemTaint(oo, copy, Taint::Dynamic);
-              push(U256(ok ? 1 : 0), Taint::Dynamic);
-              finish_event(std::uint32_t(is + os), target);
-              continue;
-          }
+          case Op::STATICCALL:
+              sw.pending = true;
+              sw.op = op;
+              sw.gasBefore = gas_before;
+              sw.eventIdx = event_idx;
+              return Halt::None;
 
           default:
             return Halt::InvalidOp;
@@ -1132,6 +989,236 @@ runFrame(ExecContext &ctx, Frame &frame, const CallParams &params,
     // Fell off the end of the code: implicit STOP.
     output.clear();
     return Halt::None;
+}
+
+/** Close the trace event of the instruction @p sw describes. */
+void
+finishEvent(ExecContext &ctx, const Frame &frame, const ContextSwitch &sw,
+            std::uint32_t data_bytes, const U256 &slot = U256())
+{
+    if (ctx.trace) {
+        TraceEvent &ev = ctx.trace->events[sw.eventIdx];
+        ev.gasCost = std::uint32_t(sw.gasBefore - frame.gas);
+        ev.dataBytes = data_bytes;
+        ev.storageKey = slot;
+        ev.nextPc = std::uint32_t(frame.pc);
+    }
+}
+
+/**
+ * CREATE/CREATE2 and the CALL family run out of line, so only their
+ * own locals stay live while the nested frame runs. Halt::None means
+ * "continue at the next instruction".
+ */
+[[gnu::noinline]] Halt
+execCreate(ExecContext &ctx, Frame &frame, const CallParams &params,
+           const ContextSwitch &sw)
+{
+    WorldState &state = ctx.state;
+    if (params.isStatic)
+        return Halt::StaticViolation;
+    Slot value = frame.pop(), off = frame.pop(), size = frame.pop();
+    U256 salt;
+    if (sw.op == Op::CREATE2)
+        salt = frame.pop().value;
+    std::uint64_t o = off.value.fitsU64() ? off.value.low64() : ~0ull;
+    std::uint64_t s = size.value.fitsU64() ? size.value.low64() : ~0ull;
+    if (!frame.touchMemory(o, s))
+        return Halt::OutOfGas;
+    Bytes init;
+    if (s)
+        init.assign(frame.memory.begin() + o,
+                    frame.memory.begin() + o + s);
+
+    Address created;
+    if (sw.op == Op::CREATE) {
+        created = createAddress(params.to,
+                                state.nonce(params.to));
+    } else {
+        Bytes buf;
+        buf.push_back(0xff);
+        std::uint8_t tmp[32];
+        params.to.toBytes(tmp);
+        buf.insert(buf.end(), tmp + 12, tmp + 32);
+        salt.toBytes(tmp);
+        buf.insert(buf.end(), tmp, tmp + 32);
+        U256 init_hash = keccak256Word(init);
+        init_hash.toBytes(tmp);
+        buf.insert(buf.end(), tmp, tmp + 32);
+        created = toAddress(keccak256Word(buf));
+    }
+    state.incNonce(params.to);
+
+    if (params.depth + 1 > kMaxCallDepth
+        || state.balance(params.to) < value.value) {
+        frame.push(U256(), Taint::Dynamic);
+        finishEvent(ctx, frame, sw, std::uint32_t(s));
+        return Halt::None;
+    }
+
+    auto snap = state.snapshot();
+    state.createAccount(created);
+    state.subBalance(params.to, value.value);
+    state.addBalance(created, value.value);
+
+    std::uint64_t fwd_gas = frame.gas - frame.gas / 64;
+    CallParams sub;
+    sub.caller = params.to;
+    sub.to = created;
+    sub.codeFrom = created;
+    sub.value = value.value;
+    sub.gas = fwd_gas;
+    sub.depth = params.depth + 1;
+
+    // Run the init code; output becomes the account code.
+    Frame init_frame(init);
+    init_frame.gas = fwd_gas;
+    Bytes deployed;
+    bool sub_rev = false;
+    Halt h = runFrame(ctx, init_frame, sub, deployed, sub_rev);
+    std::uint64_t used = fwd_gas - init_frame.gas;
+    frame.gas -= (h == Halt::None && !sub_rev)
+                     ? used
+                     : (h == Halt::None ? used : fwd_gas);
+    if (h == Halt::None && !sub_rev) {
+        state.setCode(created, deployed);
+        frame.push(created, Taint::Dynamic);
+    } else {
+        state.revert(snap);
+        frame.push(U256(), Taint::Dynamic);
+    }
+    frame.returnData.clear();
+    finishEvent(ctx, frame, sw, std::uint32_t(s));
+    return Halt::None;
+}
+
+[[gnu::noinline]] Halt
+execCall(ExecContext &ctx, Frame &frame, const CallParams &params,
+         const ContextSwitch &sw)
+{
+    WorldState &state = ctx.state;
+    Slot gas_slot = frame.pop(), addr_slot = frame.pop();
+    U256 value;
+    if (sw.op == Op::CALL || sw.op == Op::CALLCODE)
+        value = frame.pop().value;
+    Slot in_off = frame.pop(), in_size = frame.pop(), out_off = frame.pop(),
+         out_size = frame.pop();
+
+    if (sw.op == Op::CALL && params.isStatic && !value.isZero())
+        return Halt::StaticViolation;
+
+    std::uint64_t io = in_off.value.fitsU64()
+                           ? in_off.value.low64() : ~0ull;
+    std::uint64_t is = in_size.value.fitsU64()
+                           ? in_size.value.low64() : ~0ull;
+    std::uint64_t oo = out_off.value.fitsU64()
+                           ? out_off.value.low64() : ~0ull;
+    std::uint64_t os = out_size.value.fitsU64()
+                           ? out_size.value.low64() : ~0ull;
+    if (!frame.touchMemory(io, is) || !frame.touchMemory(oo, os))
+        return Halt::OutOfGas;
+
+    if (!value.isZero()
+        && !frame.chargeGas(GasCosts::kCallValue)) {
+        return Halt::OutOfGas;
+    }
+
+    Address target = toAddress(addr_slot.value);
+    Bytes input;
+    if (is)
+        input.assign(frame.memory.begin() + io,
+                     frame.memory.begin() + io + is);
+
+    std::uint64_t max_fwd = frame.gas - frame.gas / 64;
+    std::uint64_t req = gas_slot.value.fitsU64()
+                            ? gas_slot.value.low64()
+                            : max_fwd;
+    std::uint64_t fwd = req < max_fwd ? req : max_fwd;
+    if (!value.isZero())
+        fwd += GasCosts::kCallStipend;
+
+    CallParams sub;
+    sub.caller = (sw.op == Op::DELEGATECALL) ? params.caller
+                                             : params.to;
+    sub.codeFrom = target;
+    sub.to = (sw.op == Op::CALL || sw.op == Op::STATICCALL)
+                 ? target
+                 : params.to;
+    sub.value = (sw.op == Op::DELEGATECALL) ? params.value : value;
+    sub.input = std::move(input);
+    sub.gas = fwd;
+    sub.isStatic = params.isStatic || sw.op == Op::STATICCALL;
+    sub.depth = params.depth + 1;
+
+    bool ok;
+    CallResult res;
+    if (params.depth + 1 > kMaxCallDepth) {
+        ok = false;
+        res.gasUsed = 0;
+    } else if (sw.op == Op::CALL && !value.isZero()
+               && state.balance(params.to) < value) {
+        ok = false;
+        res.gasUsed = 0;
+    } else {
+        auto snap = state.snapshot();
+        if (sw.op == Op::CALL && !value.isZero()) {
+            state.subBalance(params.to, value);
+            state.addBalance(target, value);
+        }
+        res = ctx.interp->call(state, ctx.header, ctx.origin,
+                               ctx.gasPrice, sub, ctx.trace);
+        ok = res.success;
+        if (!ok)
+            state.revert(snap);
+    }
+    std::uint64_t charge = res.gasUsed < fwd ? res.gasUsed : fwd;
+    // The stipend is free to the caller.
+    std::uint64_t stipend = value.isZero()
+                                ? 0 : GasCosts::kCallStipend;
+    charge = charge > stipend ? charge - stipend : 0;
+    if (!frame.chargeGas(charge))
+        return Halt::OutOfGas;
+
+    frame.returnData = res.returnData;
+    frame.returnDataTaint = Taint::Dynamic;
+    std::uint64_t copy = res.returnData.size() < os
+                             ? res.returnData.size()
+                             : os;
+    if (copy)
+        std::memcpy(frame.memory.data() + oo,
+                    res.returnData.data(), copy);
+    frame.setMemTaint(oo, copy, Taint::Dynamic);
+    frame.push(U256(ok ? 1 : 0), Taint::Dynamic);
+    finishEvent(ctx, frame, sw, std::uint32_t(is + os), target);
+    return Halt::None;
+}
+
+/**
+ * Execute the body of one frame. Returns the halt reason (None on
+ * normal STOP/RETURN/REVERT). @p reverted distinguishes REVERT.
+ */
+Halt
+runFrame(ExecContext &ctx, Frame &frame, const CallParams &params,
+         Bytes &output, bool &reverted)
+{
+    reverted = false;
+    std::uint16_t code_id = 0;
+    if (ctx.trace) {
+        code_id = ctx.trace->internCode(params.codeFrom,
+                                        std::uint32_t(frame.code.size()));
+    }
+    for (;;) {
+        ContextSwitch sw;
+        Halt h = runUntilSwitch(ctx, frame, params, code_id, output,
+                                reverted, sw);
+        if (!sw.pending)
+            return h;
+        h = (sw.op == Op::CREATE || sw.op == Op::CREATE2)
+                ? execCreate(ctx, frame, params, sw)
+                : execCall(ctx, frame, params, sw);
+        if (h != Halt::None)
+            return h;
+    }
 }
 
 } // namespace

@@ -320,13 +320,6 @@ specCheckLive(const SpecResult &r, const WorldState &live,
 }
 
 bool
-specValidLive(const SpecResult &r, const WorldState &live,
-              const Address &coinbase)
-{
-    return specCheckLive(r, live, coinbase) == SpecVerdict::Valid;
-}
-
-bool
 specWritesMatch(const SpecResult &r, const WorldState &live,
                 const Address &coinbase)
 {

@@ -110,7 +110,7 @@ struct SpecResult
      * The value of every tracked read (coinbase keys excluded),
      * captured from the base at speculation time. Lets a commit thread
      * validate against its live state alone — no frozen copy of the
-     * pre-block state needed (specValidLive()).
+     * pre-block state needed (specCheckLive()).
      */
     std::vector<ReadValue> readValues;
 };
@@ -194,18 +194,14 @@ bool specValid(const SpecResult &r, const WorldState &live,
 SpecVerdict specCheck(const SpecResult &r, const WorldState &live,
                       const WorldState &base, const Address &coinbase);
 
-/** As specValidLive(), but reporting the failure cause. */
-SpecVerdict specCheckLive(const SpecResult &r, const WorldState &live,
-                          const Address &coinbase);
-
 /**
- * As specValid(), but compares reads against the values recorded in
+ * As specCheck(), but compares reads against the values recorded in
  * r.readValues instead of a frozen base state — the validation the
  * functional pipeline uses so it never has to copy the pre-block
  * state.
  */
-bool specValidLive(const SpecResult &r, const WorldState &live,
-                   const Address &coinbase);
+SpecVerdict specCheckLive(const SpecResult &r, const WorldState &live,
+                          const Address &coinbase);
 
 /**
  * The write-side half of specValid(): true when every location @p r

@@ -73,8 +73,9 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
                      support::ThreadPool *pool)
 {
     RecoveryResult res;
-    // Warm point (DESIGN.md §16): every copy of genesis below, and the
-    // replays' audits, start from its filled commitment caches.
+    // Warm point (DESIGN.md §16): every copy of genesis below starts
+    // from its filled commitment caches. Each replayed block's
+    // consensus rerun warms the state it starts from.
     const U256 genesis_digest = genesis.digest();
     res.state = genesis;
 

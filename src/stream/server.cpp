@@ -102,10 +102,9 @@ StreamServer::run(const Producer &producer, std::uint64_t slots)
         }
 
         // The pre-state digest anchors this block's WAL record into
-        // the digest chain; only computed when persisting. It is also
-        // the single-threaded warm point of chain_'s commitment caches
-        // (DESIGN.md §16) before the audit's replays copy it on the
-        // pool.
+        // the digest chain; only computed when persisting. A cached
+        // read: the consensus stage in build() warmed chain_'s
+        // commitment caches (DESIGN.md §16).
         U256 pre_digest;
         if (persist_)
             pre_digest = chain_.digest();

@@ -106,7 +106,7 @@ TEST(Cfg, BlockAtFindsContainingBlock)
 
 TEST(Chunker, DiscoversDispatcherSelectors)
 {
-    const auto &set = *new contracts::ContractSet(); // leak ok in test
+    const contracts::ContractSet set;
     const auto &usdt = set.byName("TetherUSD");
     auto fns = chunkContract(usdt.bytecode);
     ASSERT_GE(fns.size(), 6u);

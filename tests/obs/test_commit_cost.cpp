@@ -62,13 +62,14 @@ std::pair<DigestCost, DigestCost>
 coldAndWarm()
 {
     workload::Generator gen(1, 512, /*threads=*/1);
+    // Cold before generating: the consensus stage warms its pre-state.
+    const DigestCost cold = costOf(gen.genesis());
     workload::BlockParams p;
     p.txCount = 128;
     p.depRatio = 0.3;
     p.erc20Share = -1.0;
     const workload::BlockRun block = gen.generateBlock(p);
 
-    const DigestCost cold = costOf(gen.genesis());
     evm::WorldState st = gen.genesis();
     evm::FastInterpreter interp;
     for (const workload::TxRecord &rec : block.txs)
