@@ -10,11 +10,16 @@
  * rung (1/2/8 threads) reaches the cycle tier's final state digest
  * bit-identically, reports wall-clock tx/s for every rung, and gates
  * on the functional tier being at least 10x faster than the cycle
- * tier. Writes BENCH_functional.json.
+ * tier. Writes the JSON to json-path (default BENCH_functional.json
+ * in the current directory).
  *
  * Usage: bench_functional [blocks] [txs-per-block] [json-path]
  * Env:   MTPU_BENCH_BLOCKS / MTPU_BENCH_TXS override the positional
  *        defaults (positional arguments still win when given).
+ *
+ * Run from the repository root, the default path is the committed 8x128
+ * baseline: give smaller rungs a json-path of their own, e.g.
+ * `bench_functional 3 48 build/BENCH_functional.json`.
  *
  * Exit codes: 0 ok, 2 tier/thread divergence, 3 speedup gate missed.
  */

@@ -17,10 +17,15 @@
  * and every engine run must pass the serializability audit (exit 2
  * otherwise). Numbers are recorded, not gated — the packs exist to
  * show where scheduling degrades, so regressions land in the JSON.
- * Writes BENCH_packs.json.
+ * Writes the JSON to json-path (default BENCH_packs.json in the
+ * current directory).
  *
  * Usage: bench_packs [blocks] [txs-per-block] [json-path]
  * Env:   MTPU_BENCH_BLOCKS / MTPU_BENCH_TXS override the defaults.
+ *
+ * Run from the repository root, the default path is the committed
+ * baseline: give other rungs a json-path of their own, e.g.
+ * `bench_packs 2 32 build/BENCH_packs.json`.
  */
 
 #include <chrono>

@@ -194,13 +194,6 @@ CommTracker::find(const Address &addr, const U256 &slot) const
 }
 
 bool
-conflictsExactly(const AccessSet &a, const AccessSet &b)
-{
-    static const std::set<StateKey> none;
-    return conflictsExactly(a, b, none);
-}
-
-bool
 conflictsExactly(const AccessSet &a, const AccessSet &b,
                  const std::set<StateKey> &unforgivable)
 {

@@ -163,17 +163,9 @@ class CommTracker
  * overlap on a slot is commutative delta traffic are independent —
  * their DAG edge can be elided. A plain reader or exact writer of the
  * slot never has it in its commutative set, so those edges survive.
- */
-bool conflictsExactly(const AccessSet &a, const AccessSet &b);
-
-/**
- * conflictsExactly with a veto list: keys in @p unforgivable never
- * take the commutative exemption. The classifier's uniformity proof
- * assumes every group member's delta lands; an injected abort removes
- * the victim's delta from the group, shifting peers' observed values
- * outside the proven interval (e.g. flipping an SSTORE between its
- * zero and non-zero gas class), so runs under an abort plan must pin
- * every key an abort victim writes back into program order.
+ * Keys in @p unforgivable never take the exemption: runs under an
+ * abort plan pin every key an abort victim writes back into program
+ * order (fault::abortVeto).
  */
 bool conflictsExactly(const AccessSet &a, const AccessSet &b,
                       const std::set<StateKey> &unforgivable);

@@ -1,9 +1,7 @@
 #include "fault/auditor.hpp"
 
 #include <cstdio>
-#include <set>
 
-#include "evm/commutative.hpp"
 #include "evm/fast_interp.hpp"
 #include "evm/interpreter.hpp"
 #include "obs/metrics.hpp"
@@ -31,34 +29,11 @@ Auditor::Auditor(const evm::WorldState &genesis, const BlockRun &block,
         }
     }
     if (have_access) {
-        // Same veto as the engine: an injected abort withdraws the
-        // victim's delta from its commutative group, so keys the
-        // victim writes keep their edges — the classifier's uniformity
-        // interval no longer covers the group without them.
-        std::set<evm::StateKey> abortTouched;
-        if (commutative_edges && plan_) {
-            for (std::size_t i = 0; i < block_.txs.size(); ++i) {
-                if (!plan_->abortFor(int(i)))
-                    continue;
-                const auto &w = block_.txs[i].access.writes;
-                abortTouched.insert(w.begin(), w.end());
-            }
-        }
-        for (std::size_t j = 1; j < block_.txs.size(); ++j) {
-            for (std::size_t i = 0; i < j; ++i) {
-                if (!block_.txs[j].access.conflictsWith(
-                        block_.txs[i].access)) {
-                    continue;
-                }
-                if (commutative_edges
-                    && !evm::conflictsExactly(block_.txs[j].access,
-                                              block_.txs[i].access,
-                                              abortTouched)) {
-                    continue;
-                }
-                edges_.emplace_back(int(j), int(i));
-            }
-        }
+        const workload::ConflictGraph truth = workload::conflictGraph(
+            block_, commutative_edges, abortVeto(plan_, block_));
+        for (std::size_t j = 0; j < truth.preds.size(); ++j)
+            for (int i : truth.preds[j])
+                edges_.emplace_back(int(j), i);
     } else {
         for (std::size_t j = 0; j < block_.txs.size(); ++j)
             for (int d : block_.txs[j].deps)

@@ -14,8 +14,11 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
+
+#include "workload/workload.hpp"
 
 namespace mtpu::fault {
 
@@ -69,5 +72,30 @@ struct FaultPlan
         return it == aborts.end() ? nullptr : &it->second;
     }
 };
+
+/**
+ * The veto on commutative edge elision (DESIGN.md §14): every key an
+ * abort victim of @p plan writes in @p block; empty without a plan.
+ * The classifier's uniformity proof assumes every group member's delta
+ * lands; an injected abort rolls the victim's delta back, shifting its
+ * peers' observed values outside the proven interval (an SSTORE can
+ * flip between its zero and non-zero gas class, moving the peers' fees
+ * with it). Those keys keep their edges, so the whole group commits in
+ * program order. The engine and the Auditor elide under the same veto.
+ */
+inline std::set<evm::StateKey>
+abortVeto(const FaultPlan *plan, const workload::BlockRun &block)
+{
+    std::set<evm::StateKey> veto;
+    if (!plan)
+        return veto;
+    for (const auto &[tx, directive] : plan->aborts) {
+        if (tx < 0 || std::size_t(tx) >= block.txs.size())
+            continue;
+        const auto &w = block.txs[std::size_t(tx)].access.writes;
+        veto.insert(w.begin(), w.end());
+    }
+    return veto;
+}
 
 } // namespace mtpu::fault

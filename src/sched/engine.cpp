@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 #include <tuple>
 
 #include "evm/interpreter.hpp"
@@ -121,61 +120,31 @@ SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints,
     // an elided-order commit bit-identical.
     const bool comm = cfg_.commutative && validate;
 
-    // The classifier's uniformity proof assumes every group member's
-    // delta lands; an injected abort rolls the victim's delta back,
-    // shifting peers' observed values outside the proven interval (an
-    // SSTORE can flip between its zero and non-zero gas class, moving
-    // the peers' fees with it). Keys an abort victim writes therefore
-    // lose the commutative exemption: the whole group commits in
-    // program order. The auditor applies the same veto.
-    std::set<evm::StateKey> abortTouched;
-    if (comm && plan) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!plan->abortFor(int(i)))
-                continue;
-            const auto &w = block.txs[i].access.writes;
-            abortTouched.insert(w.begin(), w.end());
-        }
-    }
-
-    // Ground-truth conflict predecessors, recomputed from the
+    // Ground-truth conflict predecessors, rebuilt from the
     // consensus-stage access sets: the shipped DAG may be
     // under-approximated, the access sets are not. With comm, pairs
     // whose every overlapping key is mutually commutative lose the
-    // edge — the generalized coinbase exemption.
+    // edge — the generalized coinbase exemption — except on keys an
+    // abort victim writes.
     std::vector<std::vector<int>> trueDeps;
     if (validate) {
-        trueDeps.assign(n, {});
-        for (std::size_t j = 1; j < n; ++j) {
-            for (std::size_t i = 0; i < j; ++i) {
-                if (!block.txs[j].access.conflictsWith(
-                        block.txs[i].access)) {
-                    continue;
-                }
-                if (comm
-                    && !evm::conflictsExactly(block.txs[j].access,
-                                              block.txs[i].access,
-                                              abortTouched)) {
-                    ++stats.commutativeDropped;
-                    continue;
-                }
-                trueDeps[j].push_back(int(i));
-            }
-        }
+        workload::ConflictGraph truth = workload::conflictGraph(
+            block, comm, fault::abortVeto(plan, block));
+        trueDeps = std::move(truth.preds);
+        stats.commutativeDropped = truth.elided;
     }
 
     // Shipped-DAG edges get the same exemption, so the scheduler is
-    // actually free to overlap the elided pairs.
+    // actually free to overlap the elided pairs: a shipped edge stays
+    // only where the elided ground truth has it too.
     std::vector<std::vector<int>> commDeps;
     if (comm) {
         commDeps.assign(n, {});
         for (std::size_t j = 0; j < n; ++j) {
             for (int d : block.txs[j].deps) {
-                if (evm::conflictsExactly(block.txs[j].access,
-                                          block.txs[std::size_t(d)].access,
-                                          abortTouched)) {
+                if (std::binary_search(trueDeps[j].begin(),
+                                       trueDeps[j].end(), d))
                     commDeps[j].push_back(d);
-                }
             }
         }
     }

@@ -700,6 +700,58 @@ classifyCommutative(BlockRun &block, const evm::WorldState &pre_state,
 
 } // namespace
 
+ConflictGraph
+conflictGraph(const BlockRun &block, bool elide_commutative,
+              const std::set<evm::StateKey> &veto)
+{
+    struct KeyUsers
+    {
+        std::vector<int> readers;
+        std::vector<int> writers;
+    };
+    const std::size_t n = block.txs.size();
+    std::map<evm::StateKey, KeyUsers> index;
+    ConflictGraph g;
+    g.preds.resize(n);
+    std::vector<std::size_t> listedFor(n, n); // last j that listed i
+    for (std::size_t j = 0; j < n; ++j) {
+        const evm::AccessSet &a = block.txs[j].access;
+        std::vector<int> &preds = g.preds[j];
+        listedFor[j] = j; // never its own predecessor
+        auto list = [&](const std::vector<int> &earlier) {
+            for (int i : earlier) {
+                if (listedFor[std::size_t(i)] != j) {
+                    listedFor[std::size_t(i)] = j;
+                    preds.push_back(i);
+                }
+            }
+        };
+        // WW and WR against every earlier user, RW against writers.
+        for (const evm::StateKey &k : a.writes) {
+            KeyUsers &u = index[k];
+            list(u.readers);
+            list(u.writers);
+            u.writers.push_back(int(j));
+        }
+        for (const evm::StateKey &k : a.reads) {
+            KeyUsers &u = index[k];
+            list(u.writers);
+            u.readers.push_back(int(j));
+        }
+        std::sort(preds.begin(), preds.end());
+        if (elide_commutative) {
+            auto kept = std::remove_if(preds.begin(), preds.end(),
+                                       [&](int i) {
+                return !evm::conflictsExactly(
+                    a, block.txs[std::size_t(i)].access, veto);
+            });
+            g.elided += std::uint64_t(preds.end() - kept);
+            preds.erase(kept, preds.end());
+        }
+    }
+    return g;
+}
+
 void
 runConsensusStage(BlockRun &block, const evm::WorldState &pre_state,
                   support::ThreadPool *pool, bool commutative_dag)
@@ -803,28 +855,16 @@ runConsensusStage(BlockRun &block, const evm::WorldState &pre_state,
     const auto build_dag = [&] {
         classifyCommutative(block, pre_state, cand);
 
-        // Dependency DAG: conflicts against every earlier transaction.
-        // With commutative_dag, pairs whose overlaps are all mutually
+        // Dependency DAG: conflicts against every earlier transaction,
+        // replacing any deps the block arrived with. With
+        // commutative_dag, pairs whose overlaps are all mutually
         // commutative lose their edge (the generalized coinbase
         // exemption).
-        std::uint64_t elided = 0;
-        for (std::size_t j = 0; j < block.txs.size(); ++j) {
-            for (std::size_t i = 0; i < j; ++i) {
-                if (!block.txs[j].access.conflictsWith(
-                        block.txs[i].access)) {
-                    continue;
-                }
-                if (commutative_dag
-                    && !evm::conflictsExactly(block.txs[j].access,
-                                              block.txs[i].access)) {
-                    ++elided;
-                    continue;
-                }
-                block.txs[j].deps.push_back(int(i));
-            }
-        }
-        if (elided)
-            MTPU_OBS_COUNT("sched.commutative_drop", elided);
+        ConflictGraph dag = conflictGraph(block, commutative_dag, {});
+        for (std::size_t j = 0; j < block.txs.size(); ++j)
+            block.txs[j].deps = std::move(dag.preds[j]);
+        if (dag.elided)
+            MTPU_OBS_COUNT("sched.commutative_drop", dag.elided);
     };
     if (pool && block.txs.size() > 1) {
         pool->runAll({digest_post, build_dag});

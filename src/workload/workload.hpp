@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,28 @@ struct BlockParams
 void runConsensusStage(BlockRun &block, const evm::WorldState &pre_state,
                        support::ThreadPool *pool = nullptr,
                        bool commutative_dag = false);
+
+/** The conflict relation of a block's access sets, as a DAG. */
+struct ConflictGraph
+{
+    /** Per transaction, its conflicting earlier ones, ascending. */
+    std::vector<std::vector<int>> preds;
+    /** Conflicting pairs dropped by commutative elision. */
+    std::uint64_t elided = 0;
+};
+
+/**
+ * The one conflict-graph builder (DESIGN.md §8, §14): i < j is an edge
+ * when AccessSet::conflictsWith holds — j writes a key i reads or
+ * writes, or reads a key i writes. Candidates come from a key index of
+ * earlier readers and writers, so disjoint pairs cost nothing. With
+ * @p elide_commutative a candidate keeps its edge only when
+ * evm::conflictsExactly(j, i, @p veto) holds; the rest count in
+ * `elided`. The consensus stage ships this graph as the deps; the
+ * engine and the auditor rebuild it as ground truth.
+ */
+ConflictGraph conflictGraph(const BlockRun &block, bool elide_commutative,
+                            const std::set<evm::StateKey> &veto);
 
 /**
  * The generator. Owns the deployed contract universe and a pristine

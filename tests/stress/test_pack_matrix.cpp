@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -27,6 +28,7 @@
 
 #include "core/functional.hpp"
 #include "core/mtpu.hpp"
+#include "evm/commutative.hpp"
 #include "evm/memo.hpp"
 #include "fault/auditor.hpp"
 #include "fault/injector.hpp"
@@ -352,6 +354,130 @@ TEST_P(PackMatrix, ReplayFreeAuditAgreesWithFullReplay)
         }
     }
     reg.enable(was_enabled);
+}
+
+/**
+ * The pairwise reference the key-indexed workload::conflictGraph
+ * replaced: every pair i < j through AccessSet::conflictsWith, then
+ * evm::conflictsExactly when eliding.
+ */
+workload::ConflictGraph
+pairwiseGraph(const workload::BlockRun &block, bool elide,
+              const std::set<evm::StateKey> &veto)
+{
+    workload::ConflictGraph g;
+    g.preds.resize(block.txs.size());
+    for (std::size_t j = 0; j < block.txs.size(); ++j) {
+        const evm::AccessSet &a = block.txs[j].access;
+        for (std::size_t i = 0; i < j; ++i) {
+            const evm::AccessSet &b = block.txs[i].access;
+            if (!a.conflictsWith(b))
+                continue;
+            if (elide && !evm::conflictsExactly(a, b, veto)) {
+                ++g.elided;
+                continue;
+            }
+            g.preds[j].push_back(int(i));
+        }
+    }
+    return g;
+}
+
+/**
+ * The builder against the pairwise reference, elision off and on, with
+ * no veto and with the abort-victim vetoes of two abort plans; then on a
+ * copy with shipped edges dropped, the engine's shipped-edge filter
+ * (deps kept where the elided graph has them) against the pairwise
+ * conflictsExactly filter, and the engine's elided count.
+ */
+void
+expectGraphMatchesPairwise(const workload::BlockRun &block,
+                           const evm::WorldState &genesis,
+                           const std::string &label)
+{
+    // A sparse plan vetoes some commutative groups, a dense one all.
+    std::vector<std::set<evm::StateKey>> vetoes(1);
+    for (double rate : {0.1, 0.5}) {
+        fault::InjectionParams aborts;
+        aborts.abortRate = rate;
+        aborts.numPus = kNumPus;
+        const fault::FaultPlan plan =
+            fault::FaultInjector(11).plan(block, aborts);
+        vetoes.push_back(fault::abortVeto(&plan, block));
+    }
+    EXPECT_FALSE(vetoes.back().empty()) << label;
+
+    for (bool elide : {false, true}) {
+        for (std::size_t v = 0; v < vetoes.size(); ++v) {
+            const std::string what = label + (elide ? " / elide" : "")
+                                   + " / veto " + std::to_string(v);
+            const workload::ConflictGraph got =
+                workload::conflictGraph(block, elide, vetoes[v]);
+            const workload::ConflictGraph want =
+                pairwiseGraph(block, elide, vetoes[v]);
+            EXPECT_EQ(got.preds, want.preds) << what;
+            EXPECT_EQ(got.elided, want.elided) << what;
+        }
+    }
+
+    fault::InjectionParams drops;
+    drops.dropEdgeRate = 0.5;
+    drops.abortRate = 0.1;
+    drops.numPus = kNumPus;
+    const fault::FaultPlan plan = fault::FaultInjector(13).plan(block, drops);
+    const workload::BlockRun degraded =
+        fault::FaultInjector::degrade(block, plan);
+    const std::set<evm::StateKey> plan_veto =
+        fault::abortVeto(&plan, degraded);
+    const workload::ConflictGraph truth =
+        workload::conflictGraph(degraded, true, plan_veto);
+    for (std::size_t j = 0; j < degraded.txs.size(); ++j) {
+        std::vector<int> kept, want;
+        for (int d : degraded.txs[j].deps) {
+            if (std::binary_search(truth.preds[j].begin(),
+                                   truth.preds[j].end(), d))
+                kept.push_back(d);
+            if (evm::conflictsExactly(degraded.txs[j].access,
+                                      degraded.txs[std::size_t(d)].access,
+                                      plan_veto))
+                want.push_back(d);
+        }
+        EXPECT_EQ(kept, want) << label << " / degraded tx " << j;
+    }
+
+    arch::MtpuConfig cfg;
+    cfg.numPus = kNumPus;
+    cfg.commutative = true;
+    core::MtpuProcessor proc(cfg);
+    core::RunOptions opt;
+    opt.recovery.validateConflicts = true;
+    opt.recovery.plan = &plan;
+    opt.recovery.genesis = &genesis;
+    EXPECT_EQ(proc.execute(degraded, opt).commutativeDropped,
+              pairwiseGraph(degraded, true, plan_veto).elided)
+        << label << " / engine";
+}
+
+TEST_P(PackMatrix, ConflictGraphMatchesPairwiseReference)
+{
+    workload::Generator &gen = sharedGen();
+    workload::PackParams params;
+    params.txCount = stressTxs();
+    expectGraphMatchesPairwise(
+        workload::buildPackBlock(gen, GetParam(), params), gen.genesis(),
+        workload::packName(GetParam()));
+}
+
+TEST(ConflictGraph, MatchesPairwiseReferenceOnTop8Mix)
+{
+    workload::Generator &gen = sharedGen();
+    for (double dep_ratio : {0.0, 0.5, 0.9}) {
+        workload::BlockParams params;
+        params.txCount = 64;
+        params.depRatio = dep_ratio;
+        expectGraphMatchesPairwise(gen.generateBlock(params), gen.genesis(),
+                                   "top8 dep " + std::to_string(dep_ratio));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

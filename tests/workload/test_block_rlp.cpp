@@ -53,6 +53,23 @@ TEST_F(BlockRlpTest, RoundTripPreservesDagAndValues)
     EXPECT_EQ(back.criticalPathLength(), block.criticalPathLength());
 }
 
+TEST_F(BlockRlpTest, ConsensusStageOnDecodedBlockKeepsItsDag)
+{
+    // Recovery decodes a block (deps included) and reruns the consensus
+    // stage on it: the stage must replace the shipped deps with the
+    // same graph, not append a second copy of every edge.
+    BlockParams params;
+    params.txCount = 64;
+    params.depRatio = 0.5;
+    auto block = gen.generateBlock(params);
+    ASSERT_GT(block.measuredDepRatio(), 0.2);
+
+    BlockRun back = BlockRun::fromRlp(block.toRlp());
+    runConsensusStage(back, gen.genesis());
+    for (std::size_t i = 0; i < block.txs.size(); ++i)
+        EXPECT_EQ(back.txs[i].deps, block.txs[i].deps) << i;
+}
+
 TEST_F(BlockRlpTest, RoundTripPreservesHeader)
 {
     BlockParams params;
