@@ -31,6 +31,7 @@
 
 #include "bench/common.hpp"
 #include "core/functional.hpp"
+#include "evm/memo.hpp"
 #include "fault/auditor.hpp"
 #include "support/thread_pool.hpp"
 

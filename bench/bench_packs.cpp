@@ -36,6 +36,7 @@
 
 #include "bench/common.hpp"
 #include "core/functional.hpp"
+#include "evm/memo.hpp"
 #include "obs/metrics.hpp"
 #include "workload/packs.hpp"
 

@@ -25,53 +25,28 @@ FunctionalPipeline::executeBlock(const workload::BlockRun &block)
     out.txCount = block.txs.size();
     out.receipts.reserve(block.txs.size());
 
-    // Phase 1 (pool only): speculative fan-out against the pre-block
-    // state. Every speculation runs the fast tier behind the memo
-    // cache. state_ is strictly read-only until the fan-out joins, so
-    // it serves as the base directly — no frozen copy; each
-    // speculation pins the values it read (readValues) for phase 2.
-    std::vector<evm::SpecResult> spec;
-    if (pool_ && block.txs.size() > 1) {
-        spec.resize(block.txs.size());
-        const U256 headerKey = evm::MemoCache::headerKey(block.header);
-        pool_->parallelFor(block.txs.size(), [&](std::size_t i) {
-            evm::SpecOptions opts;
-            opts.fastTier = true;
-            opts.commutative = commutative_;
-            opts.memo = &evm::MemoCache::global();
-            opts.memoHeaderKey = headerKey;
-            spec[i] = evm::speculate(state_, block.header,
-                                     block.txs[i].tx, opts);
-        });
-    }
-
-    // Phase 2: single-owner program-order commit. Valid speculations
-    // replay their recorded deltas; everything else re-executes on the
-    // resident fast interpreter. Bit-identical to sequential reference
-    // execution for any thread count.
+    // Speculative fan-out (pool only) against state_, then the
+    // single-owner program-order commit: valid speculations replay
+    // their recorded deltas, everything else re-executes on the fast
+    // tier. Bit-identical to sequential reference execution for any
+    // thread count.
+    evm::SpecOptions opts;
+    opts.fastTier = true;
+    opts.commutative = commutative_;
+    evm::BlockCommitter committer(state_, block.header, block.transactions(),
+                                  opts, pool_.get());
     for (std::size_t i = 0; i < block.txs.size(); ++i) {
-        evm::SpecResult *sr = i < spec.size() ? &spec[i] : nullptr;
-        evm::SpecVerdict verdict = evm::SpecVerdict::ValidationMiss;
-        if (sr) {
-            verdict = evm::specCheckLive(*sr, state_,
-                                         block.header.coinbase);
-        }
-        if (sr && verdict == evm::SpecVerdict::Valid) {
-            evm::specApply(*sr, state_, block.header.coinbase);
-            state_.commit();
-            out.receipts.push_back(std::move(sr->receipt));
+        evm::CommittedTx c = committer.commit(i);
+        out.receipts.push_back(std::move(c.receipt));
+        if (c.replayed()) {
             ++out.replayed;
-        } else {
-            if (sr) {
-                if (verdict == evm::SpecVerdict::BoundsMiss)
-                    ++out.reexecBoundsMiss;
-                else
-                    ++out.reexecValidationMiss;
-            }
-            out.receipts.push_back(interp_.applyTransaction(
-                state_, block.header, block.txs[i].tx));
-            ++out.reexecuted;
+            continue;
         }
+        ++out.reexecuted;
+        if (c.verdict == evm::SpecVerdict::BoundsMiss)
+            ++out.reexecBoundsMiss;
+        else if (c.verdict)
+            ++out.reexecValidationMiss;
     }
 
     // Deliberately no per-block digest: hashing the whole state is

@@ -16,8 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "evm/fast_interp.hpp"
-#include "evm/memo.hpp"
 #include "evm/state.hpp"
 #include "support/thread_pool.hpp"
 #include "workload/workload.hpp"
@@ -70,12 +68,8 @@ class FunctionalPipeline
 
     const evm::WorldState &state() const { return state_; }
 
-    /** The shared caches this pipeline feeds (process-global). */
-    static evm::MemoCache &memo() { return evm::MemoCache::global(); }
-
   private:
     evm::WorldState state_;
-    evm::FastInterpreter interp_; ///< commit-path executor
     std::unique_ptr<support::ThreadPool> pool_;
     bool commutative_ = false;
 };

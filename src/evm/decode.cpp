@@ -253,15 +253,19 @@ DecodeCache::get(const U256 &codeHash, const Bytes &code)
             return it->second.prog;
         }
     }
-    MTPU_OBS_COUNT("evm.decode_cache.miss", 1);
     auto prog = decodeProgram(code);
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(codeHash);
     if (it != map_.end()) {
-        // Raced with another decoder; keep the resident copy.
+        // Raced with another decoder and lost: the resident copy is
+        // served, so this lookup counts as a hit. Only the insert
+        // below counts a miss, so N threads that miss one codehash
+        // together count 1 miss and N-1 hits, as N serial lookups do.
+        MTPU_OBS_COUNT("evm.decode_cache.hit", 1);
         lru_.splice(lru_.begin(), lru_, it->second.lru);
         return it->second.prog;
     }
+    MTPU_OBS_COUNT("evm.decode_cache.miss", 1);
     lru_.push_front(codeHash);
     map_.emplace(codeHash, Slot{prog, lru_.begin()});
     while (map_.size() > capacity_) {

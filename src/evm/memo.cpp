@@ -37,7 +37,7 @@ MemoCache::entryValid(const Entry &e, const WorldState &base,
 {
     // Every tracked read must see the same value the recorded run saw;
     // balance-slot observations pin the nonce too (same coverage
-    // argument as specValid). Then the write-side pre-value checks are
+    // argument as specCheckLive). Then the write-side pre-value checks are
     // shared verbatim with the commit-time validator.
     for (const SpecResult::ReadValue &o : e.result.readValues) {
         if (o.key.slot == WorldState::kBalanceSlot) {

@@ -7,7 +7,7 @@
  * and validated at lookup time against everything it depends on
  * *dynamically*: the values the recorded execution observed for each
  * tracked read and each written location's pre-value (the same
- * machinery specValid() uses at commit time, so a memo hit replays
+ * machinery specCheckLive() uses at commit time, so a memo hit replays
  * exactly the deltas a fresh speculation would have produced,
  * bit-identically).
  *

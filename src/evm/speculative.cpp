@@ -7,6 +7,7 @@
 #include "evm/fast_interp.hpp"
 #include "evm/memo.hpp"
 #include "obs/metrics.hpp"
+#include "support/thread_pool.hpp"
 
 namespace mtpu::evm {
 
@@ -138,32 +139,23 @@ finishCheck(const SpecResult &r, const WorldState &live,
     return SpecVerdict::Valid;
 }
 
-} // namespace
-
-const SpecResult::StorageDelta *
-specCommutativeDelta(const SpecResult &r, const StateKey &k)
+/**
+ * Thread-resident fast interpreter: the frame/stack arena is reused
+ * across every transaction the thread speculates or re-executes, block
+ * after block.
+ */
+FastInterpreter &
+residentFastInterpreter()
 {
-    for (const auto &d : r.storage) {
-        if (d.commutative && d.addr == k.address && d.slot == k.slot)
-            return &d;
-    }
-    return nullptr;
+    static thread_local FastInterpreter interp;
+    return interp;
 }
 
+/** speculate() with the memo's header key already folded. */
 SpecResult
-speculate(const WorldState &base, const BlockHeader &header,
-          const Transaction &tx, bool wantTrace,
-          const AbortInjection *abort)
-{
-    SpecOptions opts;
-    opts.wantTrace = wantTrace;
-    opts.abort = abort;
-    return speculate(base, header, tx, opts);
-}
-
-SpecResult
-speculate(const WorldState &base, const BlockHeader &header,
-          const Transaction &tx, const SpecOptions &opts)
+speculateKeyed(const WorldState &base, const BlockHeader &header,
+               const Transaction &tx, const SpecOptions &opts,
+               const U256 &headerKey)
 {
     SpecResult out;
 
@@ -176,10 +168,7 @@ speculate(const WorldState &base, const BlockHeader &header,
     const bool detect = opts.commutative && !opts.abort;
     U256 key;
     if (canMemo) {
-        const U256 hk = opts.memoHeaderKey.isZero()
-                            ? MemoCache::headerKey(header)
-                            : opts.memoHeaderKey;
-        key = MemoCache::txKey(hk, base, tx);
+        key = MemoCache::txKey(headerKey, base, tx);
         if (opts.memo->lookup(key, base, header.coinbase, opts.wantTrace,
                               detect, out)) {
             MTPU_OBS_COUNT("spec.speculations", 1);
@@ -199,9 +188,7 @@ speculate(const WorldState &base, const BlockHeader &header,
         out.receipt = interp.applyTransaction(overlay, header, tx, trace,
                                               /*commitState=*/false);
     } else if (opts.fastTier) {
-        // Thread-resident instance: the frame/stack arena is reused
-        // across every transaction this pool thread speculates.
-        static thread_local FastInterpreter interp;
+        FastInterpreter &interp = residentFastInterpreter();
         if (opts.abort)
             interp.armAbort(*opts.abort);
         out.receipt = interp.applyTransaction(overlay, header, tx, trace,
@@ -257,53 +244,42 @@ speculate(const WorldState &base, const BlockHeader &header,
     return out;
 }
 
-SpecVerdict
-specCheck(const SpecResult &r, const WorldState &live,
-          const WorldState &base, const Address &coinbase)
-{
-    // Failures are derivable: spec.valid.checks - spec.valid.pass.
-    MTPU_OBS_COUNT("spec.valid.checks", 1);
-    if (!r.ran)
-        return SpecVerdict::ValidationMiss;
+} // namespace
 
-    // Every location read must still carry the value the speculation
-    // observed in the base. Balance-slot sentinels cover nonce too:
-    // the nonce getter is untracked, but every nonce mutation is
-    // cross-checked through the write deltas below. Commutative slots
-    // are skipped here: their only reads are the chain loads, which
-    // the write-side range check covers.
-    for (const StateKey &k : r.access.reads) {
-        if (isCoinbaseKey(k, coinbase))
-            continue;
-        if (k.slot == WorldState::kBalanceSlot) {
-            if (live.balance(k.address) != base.balance(k.address)
-                || live.nonce(k.address) != base.nonce(k.address)) {
-                return SpecVerdict::ValidationMiss;
-            }
-        } else if (live.storageAt(k.address, k.slot)
-                   != base.storageAt(k.address, k.slot)) {
-            if (!specCommutativeDelta(r, k))
-                return SpecVerdict::ValidationMiss;
-        }
+SpecResult
+speculate(const WorldState &base, const BlockHeader &header,
+          const Transaction &tx, const SpecOptions &opts)
+{
+    const bool canMemo = opts.memo && !opts.abort;
+    return speculateKeyed(base, header, tx, opts,
+                          canMemo ? MemoCache::headerKey(header) : U256());
+}
+
+const SpecResult::StorageDelta *
+specCommutativeDelta(const SpecResult &r, const StateKey &k)
+{
+    for (const auto &d : r.storage) {
+        if (d.commutative && d.addr == k.address && d.slot == k.slot)
+            return &d;
     }
-
-    return finishCheck(r, live, coinbase);
+    return nullptr;
 }
 
-bool
-specValid(const SpecResult &r, const WorldState &live,
-          const WorldState &base, const Address &coinbase)
-{
-    return specCheck(r, live, base, coinbase) == SpecVerdict::Valid;
-}
 
 SpecVerdict
 specCheckLive(const SpecResult &r, const WorldState &live,
               const Address &coinbase)
 {
+    // Failures are derivable: spec.valid.checks - spec.valid.pass.
     MTPU_OBS_COUNT("spec.valid.checks", 1);
     if (!r.ran)
         return SpecVerdict::ValidationMiss;
+    // Every location read must still carry the value the speculation
+    // observed. Balance-slot sentinels cover nonce too: the nonce
+    // getter is untracked, but every nonce mutation is cross-checked
+    // through the write deltas. Commutative slots are skipped here:
+    // their only reads are the chain loads, which the write-side range
+    // check covers.
     for (const SpecResult::ReadValue &rv : r.readValues) {
         if (rv.key.slot == WorldState::kBalanceSlot) {
             if (live.balance(rv.key.address) != rv.word
@@ -361,6 +337,95 @@ specApply(const SpecResult &r, WorldState &live, const Address &coinbase)
     }
     for (const auto &d : r.codes)
         live.setCode(d.addr, d.final);
+}
+
+BlockCommitter::BlockCommitter(WorldState &live, const BlockHeader &header,
+                               std::vector<const Transaction *> txs,
+                               const SpecOptions &opts,
+                               support::ThreadPool *pool,
+                               const std::map<int, AbortInjection> *aborts)
+    : live_(live), header_(header), txs_(std::move(txs)), opts_(opts),
+      aborts_(aborts)
+{
+    if (!pool || txs_.size() <= 1)
+        return;
+    // The fan-out is the memo's only client: one header key per block.
+    SpecOptions fanout = opts_;
+    fanout.fastTier = true;
+    fanout.memo = &MemoCache::global();
+    const U256 headerKey = MemoCache::headerKey(header_);
+    spec_.resize(txs_.size());
+    pool->parallelFor(txs_.size(), [&](std::size_t i) {
+        SpecOptions o = fanout;
+        o.abort = abortFor(i);
+        spec_[i] = speculateKeyed(live_, header_, *txs_[i], o, headerKey);
+    });
+}
+
+const AbortInjection *
+BlockCommitter::abortFor(std::size_t i) const
+{
+    if (!aborts_)
+        return nullptr;
+    auto it = aborts_->find(int(i));
+    return it == aborts_->end() ? nullptr : &it->second;
+}
+
+CommittedTx
+BlockCommitter::commit(std::size_t i)
+{
+    CommittedTx out;
+    if (i < spec_.size())
+        out.verdict = specCheckLive(spec_[i], live_, header_.coinbase);
+    if (out.replayed()) {
+        SpecResult &sr = spec_[i];
+        specApply(sr, live_, header_.coinbase);
+        live_.commit();
+        out.receipt = std::move(sr.receipt);
+        if (!opts_.wantTrace)
+            return out;
+        out.trace = std::move(sr.trace);
+        out.access = std::move(sr.access);
+        for (SpecResult::StorageDelta &d : sr.storage) {
+            if (d.commutative && out.receipt.success)
+                out.commutative[{d.addr, d.slot}] = {
+                    d.delta, std::move(d.constraints)};
+        }
+        return out;
+    }
+
+    const AbortInjection *abort = abortFor(i);
+    if (opts_.fastTier && !opts_.wantTrace) {
+        FastInterpreter &interp = residentFastInterpreter();
+        if (abort)
+            interp.armAbort(*abort);
+        out.receipt = interp.applyTransaction(live_, header_, *txs_[i]);
+        return out;
+    }
+
+    // The reference tier; in trace mode with access tracking and, as in
+    // speculate(), the commutative detector unless an abort is armed.
+    Interpreter interp;
+    CommTracker tracker;
+    if (abort)
+        interp.armAbort(*abort);
+    else if (opts_.wantTrace && opts_.commutative)
+        interp.setCommTracker(&tracker);
+    if (opts_.wantTrace)
+        live_.track(&out.access);
+    out.receipt = interp.applyTransaction(
+        live_, header_, *txs_[i], opts_.wantTrace ? &out.trace : nullptr);
+    live_.track(nullptr);
+    // Same promotion rule as speculate(): a clean chain whose
+    // committed value agrees with the tracker.
+    for (const CommTracker::Record &r : tracker.records()) {
+        if (out.receipt.success && !r.poisoned && r.hasStore
+            && live_.storageAt(r.addr, r.slot)
+                   == r.observedFirst + r.curOff) {
+            out.commutative[{r.addr, r.slot}] = {r.curOff, r.constraints};
+        }
+    }
+    return out;
 }
 
 } // namespace mtpu::evm

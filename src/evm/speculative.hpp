@@ -12,13 +12,14 @@
  * behind. Because the base is only read, any number of speculations can
  * run concurrently on a thread pool.
  *
- * Later, a single-owner commit thread calls specValid() to check that a
- * live state still matches every observation (reads compared base vs
- * live, writes compared against the recorded pre-values), and on
- * success specApply() replays the deltas through the live state's
- * journaled setters — bit-identical to re-executing the transaction,
- * at a fraction of the cost. On a validation miss the caller simply
- * re-executes; the speculation is discarded.
+ * Later, a single-owner commit thread calls specCheckLive() to check
+ * that the live state still matches every observation (reads compared
+ * against the values pinned at speculation time, writes against the
+ * recorded pre-values), and on success specApply() replays the deltas
+ * through the live state's journaled setters — bit-identical to
+ * re-executing the transaction, at a fraction of the cost. On a
+ * validation miss the caller simply re-executes; the speculation is
+ * discarded. BlockCommitter runs that loop for a whole block.
  *
  * Coinbase fee accounting is treated as commutative, exactly as the
  * consensus-stage dependency analysis already does: coinbase keys are
@@ -30,6 +31,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "evm/commutative.hpp"
@@ -37,6 +40,10 @@
 #include "evm/state.hpp"
 #include "evm/trace.hpp"
 #include "evm/types.hpp"
+
+namespace mtpu::support {
+class ThreadPool;
+}
 
 namespace mtpu::evm {
 
@@ -115,25 +122,12 @@ struct SpecResult
     std::vector<ReadValue> readValues;
 };
 
-/**
- * Pre-execute @p tx on a fresh overlay of @p base. Deterministic: the
- * result depends only on (base, header, tx, abort), never on which
- * thread runs it or what else runs concurrently.
- *
- * @param wantTrace also capture the execution trace (consensus-stage
- *        use); the scheduling engine re-uses the shipped trace and
- *        skips this.
- * @param abort optional injected abort, armed exactly as the
- *        non-speculative path would.
- */
-SpecResult speculate(const WorldState &base, const BlockHeader &header,
-                     const Transaction &tx, bool wantTrace,
-                     const AbortInjection *abort = nullptr);
-
-/** Knobs for the extended speculate() overload. */
+/** Knobs for speculate(). */
 struct SpecOptions
 {
+    /** Also capture the execution trace (consensus-stage use). */
     bool wantTrace = false;
+    /** Optional injected abort, armed exactly as a plain run would. */
     const AbortInjection *abort = nullptr;
 
     /**
@@ -151,9 +145,6 @@ struct SpecOptions
      */
     MemoCache *memo = nullptr;
 
-    /** Precomputed MemoCache::headerKey(header); zero = compute here. */
-    U256 memoHeaderKey;
-
     /**
      * Detect commutative delta chains (DESIGN.md §14). Forces the
      * reference tier (the detector rides the per-opcode loop) and
@@ -163,7 +154,11 @@ struct SpecOptions
     bool commutative = false;
 };
 
-/** As speculate() above, with fast-tier and memo-cache options. */
+/**
+ * Pre-execute @p tx on a fresh overlay of @p base. Deterministic: the
+ * result depends only on (base, header, tx, opts.abort), never on
+ * which thread runs it or what else runs concurrently.
+ */
 SpecResult speculate(const WorldState &base, const BlockHeader &header,
                      const Transaction &tx, const SpecOptions &opts);
 
@@ -181,30 +176,16 @@ enum class SpecVerdict
 };
 
 /**
- * True when @p live still matches every observation @p r made against
- * @p base: all read locations carry the base values, all written
- * locations carry the recorded pre-values. Coinbase keys are exempt,
- * and commutative storage deltas are validated by their recorded range
- * constraints instead of exact match.
- */
-bool specValid(const SpecResult &r, const WorldState &live,
-               const WorldState &base, const Address &coinbase);
-
-/** As specValid(), but reporting the failure cause. */
-SpecVerdict specCheck(const SpecResult &r, const WorldState &live,
-                      const WorldState &base, const Address &coinbase);
-
-/**
- * As specCheck(), but compares reads against the values recorded in
- * r.readValues instead of a frozen base state — the validation the
- * functional pipeline uses so it never has to copy the pre-block
- * state.
+ * Valid when @p live still matches every observation of @p r: each
+ * read carries the value pinned in r.readValues, each written location
+ * the recorded pre-value. Coinbase keys are exempt, and commutative
+ * storage deltas are validated by their range constraints instead.
  */
 SpecVerdict specCheckLive(const SpecResult &r, const WorldState &live,
                           const Address &coinbase);
 
 /**
- * The write-side half of specValid(): true when every location @p r
+ * The write-side half of specCheckLive(): true when every location @p r
  * wrote still carries the pre-value the recorded run observed in
  * @p live — except commutative deltas, which pass whenever their range
  * constraints hold. Shared with the memo cache's lookup-time
@@ -223,11 +204,80 @@ specCommutativeDelta(const SpecResult &r, const StateKey &k);
 
 /**
  * Replay the recorded deltas into @p live through journaled setters.
- * Only call after specValid() returned true; the caller owns the
+ * Only call after specCheckLive() returned Valid; the caller owns the
  * transaction-boundary commit()/revert() exactly as it does around
  * applyTransaction(commitState=false).
  */
 void specApply(const SpecResult &r, WorldState &live,
                const Address &coinbase);
+
+/** A commutative storage write: its delta and its chain's branches. */
+struct CommTag
+{
+    U256 delta;
+    std::vector<CommConstraint> constraints;
+};
+
+/** One transaction committed by BlockCommitter::commit(). */
+struct CommittedTx
+{
+    Receipt receipt;
+    /** The speculation's verdict; empty when there was none. */
+    std::optional<SpecVerdict> verdict;
+
+    // Trace mode (SpecOptions::wantTrace) only:
+    Trace trace;
+    AccessSet access; ///< unfiltered (coinbase keys included)
+    /** A successful transaction's commutative storage writes. */
+    std::map<StateKey, CommTag> commutative;
+
+    bool replayed() const { return verdict == SpecVerdict::Valid; }
+};
+
+/**
+ * The one speculate/validate/commit path (DESIGN.md §9), shared by the
+ * consensus stage, the engine, the functional pipeline and the audit
+ * replays.
+ *
+ * With a pool and more than one transaction, construction speculates
+ * every transaction against @p live on the pool (fast tier, behind the
+ * process memo cache): @p live is only read until the first commit(),
+ * so no frozen copy of it is needed. commit(i) then replays the
+ * speculation of transaction i if specCheckLive() passes, and
+ * re-executes it on @p live otherwise: on the tier SpecOptions::
+ * fastTier picks, or in trace mode on the reference tier with access
+ * tracking and the commutative detector. State, receipts, traces and
+ * access sets are bit-identical to sequential execution in commit
+ * order, whatever the pool or tier. The caller picks the order; each
+ * index commits at most once.
+ */
+class BlockCommitter
+{
+  public:
+    /**
+     * @param opts reads wantTrace (trace mode), commutative and
+     *        fastTier (the re-execution tier; speculations always run
+     *        on the fast tier).
+     * @param aborts injected aborts by transaction index, armed on the
+     *        speculation and on any re-execution of that transaction.
+     */
+    BlockCommitter(WorldState &live, const BlockHeader &header,
+                   std::vector<const Transaction *> txs,
+                   const SpecOptions &opts = {},
+                   support::ThreadPool *pool = nullptr,
+                   const std::map<int, AbortInjection> *aborts = nullptr);
+
+    CommittedTx commit(std::size_t i);
+
+  private:
+    const AbortInjection *abortFor(std::size_t i) const;
+
+    WorldState &live_;
+    const BlockHeader &header_;
+    std::vector<const Transaction *> txs_;
+    SpecOptions opts_;
+    const std::map<int, AbortInjection> *aborts_;
+    std::vector<SpecResult> spec_; ///< empty without a fan-out
+};
 
 } // namespace mtpu::evm

@@ -2,8 +2,7 @@
 
 #include <cstdio>
 
-#include "evm/fast_interp.hpp"
-#include "evm/interpreter.hpp"
+#include "evm/speculative.hpp"
 #include "obs/metrics.hpp"
 
 namespace mtpu::fault {
@@ -46,20 +45,16 @@ Auditor::digestInOrder(const std::vector<int> &order) const
 {
     MTPU_OBS_COUNT("fault.audit_replayed_txs", order.size());
     evm::WorldState state = genesis_;
-    // The functional tier makes order audits cheap; abort directives
-    // self-delegate to the reference interpreter, so injected-fault
-    // replays stay instruction-exact.
-    evm::FastInterpreter interp;
-    for (int idx : order) {
-        if (plan_) {
-            if (const AbortDirective *dir = plan_->abortFor(idx)) {
-                interp.armAbort(
-                    {dir->afterInstructions, dir->outOfGas});
-            }
-        }
-        interp.applyTransaction(state, block_.header,
-                                block_.txs[std::size_t(idx)].tx);
-    }
+    // No pool: every transaction re-executes on the fast tier, and an
+    // abort directive's replay self-delegates to the reference tier,
+    // so injected-fault replays stay instruction-exact.
+    evm::SpecOptions opts;
+    opts.fastTier = true;
+    evm::BlockCommitter committer(state, block_.header,
+                                  block_.transactions(), opts, nullptr,
+                                  plan_ ? &plan_->aborts : nullptr);
+    for (int idx : order)
+        committer.commit(std::size_t(idx));
     return state.digest();
 }
 

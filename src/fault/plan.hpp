@@ -18,18 +18,18 @@
 #include <utility>
 #include <vector>
 
+#include "evm/interpreter.hpp"
 #include "workload/workload.hpp"
 
 namespace mtpu::fault {
 
-/** Force a transaction to abort mid-execution (§ Fault model, DESIGN.md). */
-struct AbortDirective
-{
-    /** Instructions executed before the abort fires. */
-    std::uint64_t afterInstructions = 0;
-    /** true: out-of-gas exception (gas consumed); false: REVERT. */
-    bool outOfGas = false;
-};
+/**
+ * Force a transaction to abort mid-execution (§ Fault model,
+ * DESIGN.md): after `afterInstructions` executed instructions, as an
+ * out-of-gas exception (`outOfGas`, gas consumed) or a REVERT. The
+ * interpreters' own directive, so a plan's aborts arm them as is.
+ */
+using AbortDirective = evm::AbortInjection;
 
 /** Stall or kill one processing unit at a point in simulated time. */
 struct PuFault

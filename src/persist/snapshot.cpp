@@ -92,9 +92,11 @@ SnapshotStore::write(std::uint64_t height, const U256 &chain_digest,
     for (std::size_t i = kKeepSnapshots; i < heights.size(); ++i)
         store_.remove(fileName(heights[i]));
 
-    auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+    // Read only by the histogram, which -DMTPU_OBS=OFF compiles out.
+    [[maybe_unused]] auto micros =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
     MTPU_OBS_COUNT("persist.snapshot_count", 1);
     MTPU_OBS_COUNT("persist.snapshot_bytes", file.size());
     MTPU_OBS_HIST("persist.snapshot_micros", obs::pow2Bounds(4, 24),

@@ -1,11 +1,10 @@
 #include "sched/engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <tuple>
 
-#include "evm/interpreter.hpp"
-#include "evm/memo.hpp"
 #include "evm/speculative.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
@@ -152,39 +151,23 @@ SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints,
         return comm ? commDeps[j] : block.txs[j].deps;
     };
 
+    // Functional state (recovery runs only). The committer speculates
+    // every transaction against the untouched live copy of genesis on
+    // the pool; the event loop below stays single-owner and commits
+    // each transaction at its completion event, by replaying a
+    // still-valid speculation or by re-executing, so the committed
+    // state is bit-identical for any thread count — including 1, where
+    // there is no fan-out. Re-execution stays on the reference tier:
+    // the fast tier would decode every contract into the process-wide
+    // DecodeCache, which raised verify-top8's peak RSS by 16%.
     evm::WorldState live;
-    evm::Interpreter interp;
-    if (functional)
+    std::optional<evm::BlockCommitter> committer;
+    if (functional) {
         live = *rec.genesis;
-
-    // --- phase 1: parallel functional pre-execution -------------------
-    // Every transaction is speculatively executed against a private
-    // copy-on-write overlay of the pre-block state on the work-stealing
-    // pool. Phase 2 (the event loop below) stays single-owner: at each
-    // commit it either replays a still-valid speculation's deltas or
-    // falls back to real re-execution, so the committed state is
-    // bit-identical for any thread count — including 1, where this
-    // fan-out is skipped entirely.
-    std::vector<evm::SpecResult> spec;
-    if (functional && pool_ && n > 1) {
-        spec.resize(n);
-        const U256 headerKey =
-            evm::MemoCache::headerKey(block.header);
-        pool_->parallelFor(n, [&](std::size_t i) {
-            const fault::AbortDirective *dir =
-                plan ? plan->abortFor(int(i)) : nullptr;
-            evm::AbortInjection inj;
-            if (dir)
-                inj = {dir->afterInstructions, dir->outOfGas};
-            evm::SpecOptions opts;
-            opts.abort = dir ? &inj : nullptr;
-            opts.fastTier = true;
-            opts.commutative = comm;
-            opts.memo = &evm::MemoCache::global();
-            opts.memoHeaderKey = headerKey;
-            spec[i] = evm::speculate(*rec.genesis, block.header,
-                                     block.txs[i].tx, opts);
-        });
+        evm::SpecOptions opts;
+        opts.commutative = comm;
+        committer.emplace(live, block.header, block.transactions(), opts,
+                          pool_.get(), plan ? &plan->aborts : nullptr);
     }
 
     // --- dependency bookkeeping -------------------------------------
@@ -526,65 +509,34 @@ SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints,
 
         bool receipt_failed = false;
         if (functional && !violation) {
-            // Functional commit, single-owner. Fast path: a phase-1
-            // speculation whose observations still hold against the
-            // live state is committed by replaying its deltas. Slow
-            // path (always taken with threads = 1): execute the
-            // transaction for real. Both paths yield bit-identical
-            // state; a violation commits nothing at all, which equals
-            // the old apply-then-revert dance without the wasted work.
-            const fault::AbortDirective *dir =
-                plan ? plan->abortFor(tx_idx) : nullptr;
-            evm::Receipt receipt;
-            const evm::SpecResult *sr =
-                std::size_t(tx_idx) < spec.size()
-                    ? &spec[std::size_t(tx_idx)]
-                    : nullptr;
-            evm::SpecVerdict verdict = evm::SpecVerdict::ValidationMiss;
-            if (sr) {
-                verdict = evm::specCheck(*sr, live, *rec.genesis,
-                                         block.header.coinbase);
-            }
-            bool replayed = verdict == evm::SpecVerdict::Valid;
-            if (replayed) {
-                evm::specApply(*sr, live, block.header.coinbase);
-                receipt = sr->receipt;
+            // Functional commit, single-owner; a violation commits
+            // nothing at all.
+            evm::CommittedTx c = committer->commit(std::size_t(tx_idx));
+            if (c.replayed())
                 ++stats.specReplayed;
-            } else {
-                // Abort-cause attribution only when a speculation was
-                // actually attempted (threads = 1 has none to miss).
-                if (sr) {
-                    if (verdict == evm::SpecVerdict::BoundsMiss)
-                        ++stats.reexecBoundsMiss;
-                    else
-                        ++stats.reexecValidationMiss;
-                }
-                if (dir)
-                    interp.armAbort(
-                        {dir->afterInstructions, dir->outOfGas});
-                receipt = interp.applyTransaction(
-                    live, block.header, block.txs[std::size_t(tx_idx)].tx,
-                    nullptr, /*commitState=*/false);
-            }
+            else if (c.verdict == evm::SpecVerdict::BoundsMiss)
+                ++stats.reexecBoundsMiss;
+            else if (c.verdict)
+                ++stats.reexecValidationMiss;
             // Host-domain event: which commit path was taken depends on
             // the host thread count (with threads = 1 there is nothing
             // to replay), so it never enters the deterministic trace.
             if (tracer_)
                 tracer_->emit(obs::TraceKind::SpecCommitPath, now, p,
-                              std::uint64_t(tx_idx), replayed ? 1 : 0);
-            if (replayed)
+                              std::uint64_t(tx_idx), c.replayed() ? 1 : 0);
+            if (c.replayed())
                 MTPU_OBS_COUNT("spec.commit.replayed", 1);
             else
                 MTPU_OBS_COUNT("spec.commit.reexecuted", 1);
-            live.commit();
-            if (!receipt.success) {
+            if (!c.receipt.success) {
+                const bool injected = plan && plan->abortFor(tx_idx);
                 receipt_failed = true;
                 ++stats.failedTxs;
-                if (receipt.error == "reverted")
+                if (c.receipt.error == "reverted")
                     ++stats.revertedTxs;
-                if (dir)
+                if (injected)
                     ++stats.injectedAborts;
-                if (tracer_ && dir)
+                if (tracer_ && injected)
                     tracer_->emit(obs::TraceKind::TxInjectedAbort, now, p,
                                   std::uint64_t(tx_idx));
             }

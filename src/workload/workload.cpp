@@ -4,7 +4,6 @@
 #include <map>
 
 #include "evm/commutative.hpp"
-#include "evm/memo.hpp"
 #include "evm/speculative.hpp"
 #include "obs/metrics.hpp"
 #include "workload/packs.hpp"
@@ -16,6 +15,16 @@ using contracts::ContractSpec;
 using evm::Address;
 
 namespace sel = contracts::sel;
+
+std::vector<const evm::Transaction *>
+BlockRun::transactions() const
+{
+    std::vector<const evm::Transaction *> out;
+    out.reserve(txs.size());
+    for (const TxRecord &rec : txs)
+        out.push_back(&rec.tx);
+    return out;
+}
 
 double
 BlockRun::measuredDepRatio() const
@@ -593,13 +602,6 @@ Generator::singleCall(const std::string &contract,
 
 namespace {
 
-/** One transaction's commutative-delta candidate on one slot. */
-struct CommCand
-{
-    U256 delta;
-    std::vector<evm::CommConstraint> constraints;
-};
-
 /**
  * Group-interval commutativity classifier (DESIGN.md §14). For every
  * hot slot, collect the commutative-delta writers; any exact writer
@@ -612,7 +614,7 @@ struct CommCand
  */
 void
 classifyCommutative(BlockRun &block, const evm::WorldState &pre_state,
-                    std::vector<std::map<evm::StateKey, CommCand>> &cand)
+                    std::vector<std::map<evm::StateKey, evm::CommTag>> &cand)
 {
     std::map<evm::StateKey, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < cand.size(); ++i) {
@@ -644,7 +646,7 @@ classifyCommutative(BlockRun &block, const evm::WorldState &pre_state,
         std::vector<Member> ms;
         U256 v = pre_state.storageAt(key.address, key.slot);
         for (std::size_t i : group.second) {
-            const CommCand &c = cand[i][key];
+            const evm::CommTag &c = cand[i][key];
             ms.push_back({i, c.delta, &c.constraints, v, true});
             v = v + c.delta;
         }
@@ -762,90 +764,38 @@ runConsensusStage(BlockRun &block, const evm::WorldState &pre_state,
     // warm and their digests rehash only what the block touched.
     const U256 pre_digest = pre_state.digest();
     evm::WorldState state = pre_state;
-    evm::Interpreter interp;
 
-    // Phase 1 (pool only): pre-execute every transaction against the
-    // pre-block state concurrently, capturing trace + receipt + access
-    // set + field deltas. Phase 2 below commits in program order: a
-    // speculation whose observations still hold is committed by
-    // replaying its deltas; anything else is re-executed for real.
-    // Either way the committed state, traces and access sets are
-    // bit-identical to the sequential path. Commutative detection is
-    // always armed here (it is nearly free — trace capture already
-    // forces the reference tier) so every block's access sets carry
-    // the commutative classification.
-    std::vector<evm::SpecResult> spec;
-    if (pool && block.txs.size() > 1) {
-        spec.resize(block.txs.size());
-        const U256 headerKey =
-            evm::MemoCache::headerKey(block.header);
-        pool->parallelFor(block.txs.size(), [&](std::size_t i) {
-            evm::SpecOptions opts;
-            opts.wantTrace = true;
-            opts.fastTier = true;
-            opts.commutative = true;
-            opts.memo = &evm::MemoCache::global();
-            opts.memoHeaderKey = headerKey;
-            spec[i] = evm::speculate(pre_state, block.header,
-                                     block.txs[i].tx, opts);
-        });
-    }
-
-    std::vector<std::map<evm::StateKey, CommCand>> cand(block.txs.size());
+    // Program-order commit through the block committer: with a pool
+    // every transaction is first speculated against the pre-block
+    // state, and a speculation whose observations still hold commits
+    // by replaying its deltas; anything else re-executes. Either way
+    // the committed state, traces and access sets are bit-identical to
+    // the sequential path. Commutative detection is always armed here
+    // (it is nearly free — trace capture already forces the reference
+    // tier) so every block's access sets carry the commutative
+    // classification.
+    evm::SpecOptions opts;
+    opts.wantTrace = true;
+    opts.commutative = true;
+    evm::BlockCommitter committer(state, block.header, block.transactions(),
+                                  opts, pool);
+    std::vector<std::map<evm::StateKey, evm::CommTag>> cand(
+        block.txs.size());
     for (std::size_t i = 0; i < block.txs.size(); ++i) {
         TxRecord &rec = block.txs[i];
-        evm::AccessSet access;
-        evm::SpecResult *sr = i < spec.size() ? &spec[i] : nullptr;
-        if (sr && evm::specValid(*sr, state, pre_state,
-                                 block.header.coinbase)) {
-            evm::specApply(*sr, state, block.header.coinbase);
-            state.commit();
-            rec.receipt = sr->receipt;
-            rec.trace = std::move(sr->trace);
-            access = std::move(sr->access);
-            if (rec.receipt.success) {
-                for (const auto &d : sr->storage) {
-                    if (d.commutative)
-                        cand[i][{d.addr, d.slot}] = {d.delta,
-                                                     d.constraints};
-                }
-            }
-        } else {
-            evm::CommTracker tracker;
-            interp.setCommTracker(&tracker);
-            state.track(&access);
-            rec.receipt = interp.applyTransaction(state, block.header,
-                                                  rec.tx, &rec.trace);
-            state.track(nullptr);
-            interp.setCommTracker(nullptr);
-            if (rec.receipt.success) {
-                // Same promotion rule as speculate(): a clean chain
-                // whose committed value agrees with the tracker.
-                for (const auto &r : tracker.records()) {
-                    if (r.poisoned || !r.hasStore)
-                        continue;
-                    if (state.storageAt(r.addr, r.slot)
-                        != r.observedFirst + r.curOff) {
-                        continue;
-                    }
-                    cand[i][{r.addr, r.slot}] = {r.curOff, r.constraints};
-                }
-            }
-        }
+        evm::CommittedTx c = committer.commit(i);
+        rec.receipt = std::move(c.receipt);
+        rec.trace = std::move(c.trace);
+        rec.access = std::move(c.access);
+        cand[i] = std::move(c.commutative);
 
         // Filter commutative fee accounting (coinbase) out of the
         // dependency analysis, as concurrency-control schemes do.
-        auto drop_coinbase = [&](std::set<evm::StateKey> &keys) {
-            for (auto it = keys.begin(); it != keys.end();) {
-                if (evm::isCoinbaseKey(*it, block.header.coinbase))
-                    it = keys.erase(it);
-                else
-                    ++it;
-            }
+        const auto coinbase = [&](const evm::StateKey &k) {
+            return evm::isCoinbaseKey(k, block.header.coinbase);
         };
-        drop_coinbase(access.reads);
-        drop_coinbase(access.writes);
-        rec.access = std::move(access);
+        std::erase_if(rec.access.reads, coinbase);
+        std::erase_if(rec.access.writes, coinbase);
     }
 
     // The DAG reads the access sets and pre_state, the post-state

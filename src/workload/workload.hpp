@@ -66,6 +66,9 @@ struct BlockRun
      */
     std::optional<ConsensusDigest> consensusDigest;
 
+    /** The transactions in program order (evm::BlockCommitter input). */
+    std::vector<const evm::Transaction *> transactions() const;
+
     /** Fraction of transactions with at least one dependency. */
     double measuredDepRatio() const;
     /** Fraction of transactions on ERC20 contracts. */

@@ -70,8 +70,9 @@ TEST_F(SpecFixture, SpeculationCapturesReceiptAndDeltas)
     BlockHeader header = testHeader();
     Transaction tx = transfer(0, 1, 5);
 
-    SpecResult r = speculate(gen.genesis(), header, tx,
-                             /*wantTrace=*/true);
+    SpecOptions opts;
+    opts.wantTrace = true;
+    SpecResult r = speculate(gen.genesis(), header, tx, opts);
     ASSERT_TRUE(r.ran);
     EXPECT_TRUE(r.receipt.success);
     EXPECT_FALSE(r.trace.events.empty());
@@ -92,8 +93,8 @@ TEST_F(SpecFixture, IndependentSpeculationSurvivesCommit)
     Transaction tx0 = transfer(0, 1, 5);
     Transaction tx1 = transfer(2, 3, 7); // disjoint accounts
 
-    SpecResult s0 = speculate(gen.genesis(), header, tx0, false);
-    SpecResult s1 = speculate(gen.genesis(), header, tx1, false);
+    SpecResult s0 = speculate(gen.genesis(), header, tx0, SpecOptions{});
+    SpecResult s1 = speculate(gen.genesis(), header, tx1, SpecOptions{});
 
     // Reference: plain sequential execution.
     WorldState ref = gen.genesis();
@@ -102,13 +103,13 @@ TEST_F(SpecFixture, IndependentSpeculationSurvivesCommit)
     Receipt ref1 = interp.applyTransaction(ref, header, tx1);
 
     WorldState live = gen.genesis();
-    ASSERT_TRUE(specValid(s0, live, gen.genesis(), header.coinbase));
+    ASSERT_EQ(specCheckLive(s0, live, header.coinbase), SpecVerdict::Valid);
     specApply(s0, live, header.coinbase);
     live.commit();
 
     // tx1 touches none of tx0's keys, so its speculation must still
     // validate against the mutated live state — the fast path fires.
-    ASSERT_TRUE(specValid(s1, live, gen.genesis(), header.coinbase));
+    ASSERT_EQ(specCheckLive(s1, live, header.coinbase), SpecVerdict::Valid);
     specApply(s1, live, header.coinbase);
     live.commit();
 
@@ -123,17 +124,17 @@ TEST_F(SpecFixture, ConflictingSpeculationIsRejected)
     Transaction tx0 = transfer(0, 1, 5);
     Transaction tx1 = transfer(1, 2, 3); // reads/writes user 1's slot
 
-    SpecResult s0 = speculate(gen.genesis(), header, tx0, false);
-    SpecResult s1 = speculate(gen.genesis(), header, tx1, false);
+    SpecResult s0 = speculate(gen.genesis(), header, tx0, SpecOptions{});
+    SpecResult s1 = speculate(gen.genesis(), header, tx1, SpecOptions{});
 
     WorldState live = gen.genesis();
-    ASSERT_TRUE(specValid(s0, live, gen.genesis(), header.coinbase));
+    ASSERT_EQ(specCheckLive(s0, live, header.coinbase), SpecVerdict::Valid);
     specApply(s0, live, header.coinbase);
     live.commit();
 
     // tx0 changed user 1's token balance, which tx1's speculation both
     // read and wrote from its pre-tx0 value: stale, must be rejected.
-    EXPECT_FALSE(specValid(s1, live, gen.genesis(), header.coinbase));
+    EXPECT_NE(specCheckLive(s1, live, header.coinbase), SpecVerdict::Valid);
 
     // The slow path (real re-execution) then matches the sequential
     // reference exactly.
@@ -153,8 +154,8 @@ TEST_F(SpecFixture, CoinbaseFeesAreCommutative)
     Transaction tx0 = transfer(0, 1, 5);
     Transaction tx1 = transfer(2, 3, 7);
 
-    SpecResult s0 = speculate(gen.genesis(), header, tx0, false);
-    SpecResult s1 = speculate(gen.genesis(), header, tx1, false);
+    SpecResult s0 = speculate(gen.genesis(), header, tx0, SpecOptions{});
+    SpecResult s1 = speculate(gen.genesis(), header, tx1, SpecOptions{});
 
     WorldState live = gen.genesis();
     specApply(s0, live, header.coinbase);
@@ -162,7 +163,7 @@ TEST_F(SpecFixture, CoinbaseFeesAreCommutative)
     // Both speculations observed the coinbase's pre-block balance;
     // committing tx0 bumped it. tx1 must survive anyway (fees are
     // applied as deltas, not absolute values)...
-    ASSERT_TRUE(specValid(s1, live, gen.genesis(), header.coinbase));
+    ASSERT_EQ(specCheckLive(s1, live, header.coinbase), SpecVerdict::Valid);
     specApply(s1, live, header.coinbase);
     live.commit();
 
@@ -202,16 +203,16 @@ TEST_F(SpecFixture, CommutativeDeltaSurvivesConflictingCommit)
     EXPECT_GE(commCount(s1), 2u);
 
     WorldState live = gen.genesis();
-    ASSERT_EQ(specCheck(s0, live, gen.genesis(), header.coinbase),
+    ASSERT_EQ(specCheckLive(s0, live, header.coinbase),
               SpecVerdict::Valid);
     specApply(s0, live, header.coinbase);
     live.commit();
 
     // Exact-match validation rejects the stale speculation...
-    SpecResult exact = speculate(gen.genesis(), header, tx1, false);
-    EXPECT_FALSE(specValid(exact, live, gen.genesis(), header.coinbase));
+    SpecResult exact = speculate(gen.genesis(), header, tx1, SpecOptions{});
+    EXPECT_NE(specCheckLive(exact, live, header.coinbase), SpecVerdict::Valid);
     // ...the range-validated delta commits anyway.
-    ASSERT_EQ(specCheck(s1, live, gen.genesis(), header.coinbase),
+    ASSERT_EQ(specCheckLive(s1, live, header.coinbase),
               SpecVerdict::Valid);
     specApply(s1, live, header.coinbase);
     live.commit();
@@ -245,14 +246,14 @@ TEST_F(SpecFixture, CommutativeUnderflowFallsBackByBoundsMiss)
     ASSERT_TRUE(s0.receipt.success && s1.receipt.success);
 
     WorldState live = gen.genesis();
-    ASSERT_EQ(specCheck(s0, live, gen.genesis(), header.coinbase),
+    ASSERT_EQ(specCheckLive(s0, live, header.coinbase),
               SpecVerdict::Valid);
     specApply(s0, live, header.coinbase);
     live.commit();
 
-    EXPECT_EQ(specCheck(s1, live, gen.genesis(), header.coinbase),
+    EXPECT_EQ(specCheckLive(s1, live, header.coinbase),
               SpecVerdict::BoundsMiss);
-    EXPECT_FALSE(specValid(s1, live, gen.genesis(), header.coinbase));
+    EXPECT_NE(specCheckLive(s1, live, header.coinbase), SpecVerdict::Valid);
 
     // Slow path: the balance raced to zero, the transfer reverts.
     Interpreter interp;

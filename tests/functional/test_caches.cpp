@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "contracts/contracts.hpp"
 #include "evm/decode.hpp"
 #include "evm/memo.hpp"
@@ -31,6 +35,17 @@ counterValue(const char *name)
     return 0;
 }
 
+/**
+ * Counter assertions: -DMTPU_OBS=OFF compiles the counters away, so
+ * such a build checks only the behaviour around them.
+ */
+#if MTPU_OBS_ENABLED
+#define EXPECT_COUNTER(name, expected)                                    \
+    EXPECT_EQ(counterValue(name), (expected))
+#else
+#define EXPECT_COUNTER(name, expected) (void)(expected)
+#endif
+
 TEST(DecodeCacheTest, HitMissAndSharing)
 {
     obs::Registry::global().enable(true);
@@ -46,8 +61,8 @@ TEST(DecodeCacheTest, HitMissAndSharing)
     auto p2 = cache.get(hash, code);
     EXPECT_EQ(p1.get(), p2.get()); // same shared program
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(counterValue("evm.decode_cache.miss"), miss0 + 1);
-    EXPECT_EQ(counterValue("evm.decode_cache.hit"), hit0 + 1);
+    EXPECT_COUNTER("evm.decode_cache.miss", miss0 + 1);
+    EXPECT_COUNTER("evm.decode_cache.hit", hit0 + 1);
 }
 
 TEST(DecodeCacheTest, LruEviction)
@@ -61,14 +76,52 @@ TEST(DecodeCacheTest, LruEviction)
         cache.get(keccak256Word(code), code);
     }
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(counterValue("evm.decode_cache.evict"), evict0 + 1);
+    EXPECT_COUNTER("evm.decode_cache.evict", evict0 + 1);
 
     // The oldest entry was evicted: fetching it again is a miss; the
     // newest is still resident.
     Bytes oldest = {std::uint8_t(Op::PUSH1), 0, std::uint8_t(Op::STOP)};
     std::uint64_t miss0 = counterValue("evm.decode_cache.miss");
     cache.get(keccak256Word(oldest), oldest);
-    EXPECT_EQ(counterValue("evm.decode_cache.miss"), miss0 + 1);
+    EXPECT_COUNTER("evm.decode_cache.miss", miss0 + 1);
+}
+
+TEST(DecodeCacheTest, ConcurrentMissesOfOneCodehashCountOneMiss)
+{
+    // N threads released together all miss one fresh codehash and
+    // decode it outside the lock; one inserts, the rest are served the
+    // resident copy. The counters must read as N serial lookups do.
+    obs::Registry::global().enable(true);
+    constexpr int kThreads = 8;
+    DecodeCache cache(8);
+    Bytes code;
+    for (int i = 0; i < 2048; ++i) {
+        code.push_back(std::uint8_t(Op::PUSH1));
+        code.push_back(std::uint8_t(i));
+        code.push_back(std::uint8_t(Op::POP));
+    }
+    code.push_back(std::uint8_t(Op::STOP));
+    const U256 hash = keccak256Word(code);
+
+    const std::uint64_t miss0 = counterValue("evm.decode_cache.miss");
+    const std::uint64_t hit0 = counterValue("evm.decode_cache.hit");
+    std::vector<const DecodedProgram *> got(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            got[std::size_t(t)] = cache.get(hash, code).get();
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (const DecodedProgram *p : got)
+        EXPECT_EQ(p, got[0]); // every thread holds the resident program
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_COUNTER("evm.decode_cache.miss", miss0 + 1);
+    EXPECT_COUNTER("evm.decode_cache.hit", hit0 + kThreads - 1);
 }
 
 TEST(DecodeProgramTest, SegmentsAndJumpTargets)
@@ -154,12 +207,12 @@ TEST_F(MemoFixture, HitReplaysBitIdenticalResult)
     opts.memo = &memo;
     std::uint64_t miss0 = counterValue("evm.memo.miss");
     SpecResult first = speculate(gen.genesis(), header, tx, opts);
-    EXPECT_EQ(counterValue("evm.memo.miss"), miss0 + 1);
+    EXPECT_COUNTER("evm.memo.miss", miss0 + 1);
     EXPECT_EQ(memo.size(), 1u);
 
     std::uint64_t hit0 = counterValue("evm.memo.hit");
     SpecResult second = speculate(gen.genesis(), header, tx, opts);
-    EXPECT_EQ(counterValue("evm.memo.hit"), hit0 + 1);
+    EXPECT_COUNTER("evm.memo.hit", hit0 + 1);
 
     EXPECT_EQ(second.receipt.toRlp(), first.receipt.toRlp());
     ASSERT_EQ(second.storage.size(), first.storage.size());
@@ -171,8 +224,8 @@ TEST_F(MemoFixture, HitReplaysBitIdenticalResult)
 
     // Applying the memoized result matches a fresh execution.
     WorldState viaMemo = gen.genesis();
-    ASSERT_TRUE(specValid(second, viaMemo, gen.genesis(),
-                          header.coinbase));
+    ASSERT_EQ(specCheckLive(second, viaMemo, header.coinbase),
+              SpecVerdict::Valid);
     specApply(second, viaMemo, header.coinbase);
     viaMemo.commit();
 
@@ -205,9 +258,9 @@ TEST_F(MemoFixture, ConflictingWriteInvalidatesEntry)
     // (nonce progression is not in the key, so it does not) or the
     // observation check rejects the entry — it must NOT be served
     // stale. The fresh execution must match a direct one.
-    EXPECT_EQ(counterValue("evm.memo.invalid"), invalid0 + 1);
+    EXPECT_COUNTER("evm.memo.invalid", invalid0 + 1);
 
-    SpecResult direct = speculate(modified, header, tx, false);
+    SpecResult direct = speculate(modified, header, tx, SpecOptions{});
     EXPECT_EQ(r.receipt.toRlp(), direct.receipt.toRlp());
 }
 
@@ -230,7 +283,7 @@ TEST_F(MemoFixture, TracelessEntryNeverServesTraceRequest)
     // lookup now hits and returns the recorded trace.
     std::uint64_t hit0 = counterValue("evm.memo.hit");
     SpecResult r2 = speculate(gen.genesis(), header, tx, wantTrace);
-    EXPECT_EQ(counterValue("evm.memo.hit"), hit0 + 1);
+    EXPECT_COUNTER("evm.memo.hit", hit0 + 1);
     EXPECT_EQ(r2.trace.events.size(), r.trace.events.size());
     EXPECT_EQ(r2.receipt.toRlp(), r.receipt.toRlp());
 }
@@ -271,14 +324,14 @@ TEST_F(MemoFixture, HeaderKeySeparatesBlocks)
     other.height = 2;
     std::uint64_t miss0 = counterValue("evm.memo.miss");
     speculate(gen.genesis(), other, tx, opts);
-    EXPECT_EQ(counterValue("evm.memo.miss"), miss0 + 1);
+    EXPECT_COUNTER("evm.memo.miss", miss0 + 1);
     EXPECT_EQ(memo.size(), 2u);
 }
 
 TEST_F(MemoFixture, FastTierSpeculationMatchesCycleTier)
 {
     Transaction tx = transfer(0, 1, 5);
-    SpecResult cycle = speculate(gen.genesis(), header, tx, false);
+    SpecResult cycle = speculate(gen.genesis(), header, tx, SpecOptions{});
 
     SpecOptions opts;
     opts.fastTier = true;

@@ -2,7 +2,7 @@
  * @file
  * Adversarial coverage for the commutativity tracker (DESIGN.md §14)
  * against the Recursor / FlashLoanHub contracts, and for the
- * specCheck() BoundsMiss fallback on the mint-storm pack:
+ * specCheckLive() BoundsMiss fallback on the mint-storm pack:
  *
  *  - a recursive self-call chain (poke) must keep its counter chain
  *    clean across nested frames — one commutative delta of depth+1;
@@ -173,9 +173,6 @@ TEST_F(TrackerFixture, SaturatedCounterFailsAsBoundsMiss)
     live.setStorage(dai, U256(0), U256::max() - U256(10));
     live.commit();
 
-    EXPECT_EQ(evm::specCheck(r, live, gen.genesis(),
-                             header().coinbase),
-              SpecVerdict::BoundsMiss);
     EXPECT_EQ(evm::specCheckLive(r, live, header().coinbase),
               SpecVerdict::BoundsMiss);
 
@@ -183,7 +180,7 @@ TEST_F(TrackerFixture, SaturatedCounterFailsAsBoundsMiss)
     evm::WorldState ok = gen.genesis();
     ok.setStorage(dai, U256(0), U256(123456));
     ok.commit();
-    EXPECT_EQ(evm::specCheck(r, ok, gen.genesis(), header().coinbase),
+    EXPECT_EQ(evm::specCheckLive(r, ok, header().coinbase),
               SpecVerdict::Valid);
 }
 
