@@ -13,25 +13,10 @@
 #include <vector>
 
 #include "core/mtpu.hpp"
-#include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "support/stats.hpp"
 #include "workload/workload.hpp"
 
 namespace mtpu::bench {
-
-// The benches and mtpu_sim --json share one escaped-string JSON
-// writer (obs/json.hpp) so reports stay mutually parseable.
-using obs::jsonEscape;
-using obs::jsonNum;
-using obs::jsonQuote;
-
-/** Current metrics-registry snapshot as a compact JSON object. */
-inline std::string
-metricsJson()
-{
-    return obs::Registry::global().snapshot().toJson();
-}
 
 /** Simple fixed-width table printer. */
 class Table

@@ -118,7 +118,6 @@ class MtpuProcessor
     arch::AreaModel area() const { return arch::AreaModel(cfg_); }
 
     const arch::MtpuConfig &config() const { return cfg_; }
-    const hotspot::HotspotOptimizer &hotspots() const { return hotspot_; }
 
     /** Reset all engines' microarchitectural state. */
     void reset();

@@ -62,9 +62,6 @@ class FastInterpreter
     /** Logs collected by the most recent applyTransaction/call. */
     const std::vector<LogEntry> &logs() const { return logs_; }
 
-    /** Override the decoded-program cache (tests); nullptr = uncached. */
-    void setDecodeCache(DecodeCache *cache) { cache_ = cache; }
-
   private:
     friend struct FastCtx;
 

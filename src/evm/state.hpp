@@ -168,13 +168,9 @@ class WorldState
         digestFresh_ = false;
     }
 
-    const WorldState *overlayBase() const { return base_; }
-
     // -- access tracking -------------------------------------------------
     /** Begin recording reads/writes into @p sink (nullptr stops). */
     void track(AccessSet *sink) { tracker_ = sink; }
-
-    std::size_t accountCount() const { return accounts_.size(); }
 
     /**
      * Commitment to the full world state (accounts, balances, nonces,

@@ -39,11 +39,4 @@ jsonNum(unsigned v)
     return jsonNum(std::uint64_t(v));
 }
 
-/** "true" / "false". */
-inline std::string
-jsonBool(bool v)
-{
-    return v ? "true" : "false";
-}
-
 } // namespace mtpu::obs

@@ -156,9 +156,6 @@ class Persistence
     Storage &storage() { return *store_; }
     const PersistConfig &config() const { return cfg_; }
 
-    /** Override the environment-derived crash plan (tests). */
-    void setCrashPlan(const CrashPlan &plan) { crash_ = plan; }
-
   private:
     /** Perform the armed crash: leave the planned tail damage behind
      *  and _exit(kCrashExitCode). Never returns. */

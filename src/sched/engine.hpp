@@ -132,7 +132,6 @@ class SpatioTemporalEngine
     void reset();
 
     const arch::PuModel &pu(int i) const { return *pus_[std::size_t(i)]; }
-    arch::StateBuffer &stateBuffer() { return stateBuffer_; }
 
     /** Host threads backing functional pre-execution (>= 1). */
     unsigned hostThreads() const { return pool_ ? pool_->threads() : 1; }

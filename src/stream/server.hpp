@@ -196,7 +196,6 @@ class StreamServer
         chain_ = state;
     }
 
-    const evm::WorldState &chainState() const { return chain_; }
     const Mempool &mempool() const { return pool_; }
 
   private:

@@ -66,9 +66,9 @@ class Histogram
  * at rank ceil(q * n) (1-based), i.e. the smallest sample such that at
  * least a fraction q of the mass is at or below it. q <= 0 returns the
  * minimum, q >= 1 the maximum, empty input 0. This is the single
- * percentile definition shared by the latency paths (SoakReport,
- * bench_wallclock, Histogram::percentile) — they previously hand-rolled
- * three subtly different index formulas.
+ * percentile definition shared by the latency paths (SoakReport and
+ * Histogram::percentile) — they previously hand-rolled subtly
+ * different index formulas.
  */
 template <typename T>
 double

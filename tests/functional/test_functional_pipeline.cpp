@@ -3,7 +3,8 @@
  * FunctionalPipeline end-to-end: whole generated chains executed at
  * host thread counts 1/2/8 must commit receipts and state
  * bit-identically to the sequential reference interpreter chain, with
- * the memo cache cold and warm, across dependency mixes.
+ * the memo cache cold and warm, across dependency mixes. The audited
+ * cycle tier, chained over the same blocks, must reach the same state.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/functional.hpp"
+#include "core/mtpu.hpp"
 #include "evm/interpreter.hpp"
 #include "evm/memo.hpp"
 #include "workload/workload.hpp"
@@ -39,6 +41,27 @@ referenceChain(const std::vector<workload::BlockRun> &blocks,
                     .toRlp());
     out.digest = state.digest();
     return out;
+}
+
+/** Final digest of the audited cycle-level pipeline, chained. */
+U256
+cycleChainDigest(const std::vector<workload::BlockRun> &blocks,
+                 const evm::WorldState &genesis)
+{
+    core::MtpuProcessor proc{arch::MtpuConfig{}};
+    core::RunOptions run;
+    run.scheme = core::Scheme::SpatioTemporal;
+    run.redundancyOpt = true;
+    run.recovery.validateConflicts = true;
+    evm::WorldState state = genesis;
+    for (const workload::BlockRun &block : blocks) {
+        core::AuditedRun res = proc.executeAudited(block, state, run);
+        EXPECT_TRUE(res.ok()) << res.audit.message;
+        if (!res.stats.finalState)
+            return U256();
+        state = *res.stats.finalState;
+    }
+    return state.digest();
 }
 
 ChainResult
@@ -84,6 +107,8 @@ TEST_F(FunctionalPipelineTest, ThreadCountsCommitBitIdentically)
     const evm::WorldState genesis = gen.genesis();
 
     ChainResult ref = referenceChain(blocks, genesis);
+    EXPECT_EQ(cycleChainDigest(blocks, genesis), ref.digest)
+        << "audited cycle tier diverged";
     for (int threads : {1, 2, 8}) {
         evm::MemoCache::global().clear();
         ChainResult got = functionalChain(blocks, genesis, threads);

@@ -4,9 +4,10 @@
  * attached is stopped (cleanly or with injected storage faults on the
  * WAL), then a fresh Persistence + StreamServer pair recovers the data
  * directory and re-feeds the identical wire stream from slot 0. The
- * invariant under test is the tentpole claim: the restarted run's
- * final chain digest is bit-identical to an uninterrupted run's, for
- * every storage fault class that recovery classifies as tail damage.
+ * invariant under test is the tentpole claim: the durable and the
+ * restarted runs' final chain digests are bit-identical to that of an
+ * uninterrupted run with no persistence attached, for every storage
+ * fault class that recovery classifies as tail damage.
  * (The subprocess version with hard _exit crashes lives in
  * test_crash_restart.cpp; the unrecoverable-corruption classes live in
  * test_wal.cpp's semantic corpus.)
@@ -42,16 +43,17 @@ struct TempDir
 constexpr std::uint64_t kSlots = 18;
 
 /**
- * One durable process lifetime: recover the data directory, then run
- * stream slots against the same seeded wire generator every instance
- * uses — the restart contract is that the producer re-feeds the
- * identical stream from slot 0.
+ * One process lifetime: recover the data directory, then run stream
+ * slots against the same seeded wire generator every instance uses —
+ * the restart contract is that the producer re-feeds the identical
+ * stream from slot 0. An empty @p dir runs volatile, with no
+ * persistence attached.
  */
 class Durable
 {
   public:
     explicit Durable(const std::string &dir)
-        : gen_(9, 64, 1), wire_(gen_, 9, 16, mix_), inner_(dir)
+        : gen_(9, 64, 1), wire_(gen_, 9, 16, mix_)
     {
         scfg_.pool.capacity = 128;
         scfg_.block.maxTxs = 6;
@@ -60,22 +62,27 @@ class Durable
         run_.redundancyOpt = true;
         run_.threads = 1;
 
-        fault::StorageFaultParams params;
-        auto faulty =
-            std::make_unique<fault::FaultyStorage>(inner_, params);
-        faulty_ = faulty.get();
-        PersistConfig pcfg;
-        pcfg.dataDir = dir;
-        pcfg.snapshotEvery = 8;
-        persist_ = std::make_unique<Persistence>(pcfg,
-                                                 std::move(faulty));
-        rec = persist_->recover(cfg_, run_, gen_.genesis());
-        if (!rec.ok)
-            return;
+        if (!dir.empty()) {
+            inner_ = std::make_unique<FileStorage>(dir);
+            fault::StorageFaultParams params;
+            auto faulty =
+                std::make_unique<fault::FaultyStorage>(*inner_, params);
+            faulty_ = faulty.get();
+            PersistConfig pcfg;
+            pcfg.dataDir = dir;
+            pcfg.snapshotEvery = 8;
+            persist_ = std::make_unique<Persistence>(pcfg,
+                                                     std::move(faulty));
+            rec = persist_->recover(cfg_, run_, gen_.genesis());
+            if (!rec.ok)
+                return;
+        }
         server_ = std::make_unique<stream::StreamServer>(
             cfg_, run_, gen_.genesis(), gen_.contracts(), scfg_);
-        server_->setChainState(rec.state);
-        server_->attachPersistence(persist_.get());
+        if (persist_) {
+            server_->setChainState(rec.state);
+            server_->attachPersistence(persist_.get());
+        }
     }
 
     stream::SoakReport
@@ -99,7 +106,7 @@ class Durable
     workload::Generator gen_;
     workload::StreamMix mix_;
     workload::StreamGenerator wire_;
-    FileStorage inner_;
+    std::unique_ptr<FileStorage> inner_;
     stream::StreamConfig scfg_;
     arch::MtpuConfig cfg_;
     core::RunOptions run_;
@@ -108,13 +115,16 @@ class Durable
     std::unique_ptr<stream::StreamServer> server_;
 };
 
-/** Final digest of the uninterrupted reference run (computed once). */
+/**
+ * Final digest of the same stream with no persistence attached
+ * (computed once): every durable and restarted run must reach the
+ * chain that was never persisted.
+ */
 const U256 &
 referenceDigest()
 {
     static const U256 digest = [] {
-        TempDir t;
-        Durable a(t.path);
+        Durable a("");
         stream::SoakReport rep = a.run(kSlots);
         EXPECT_EQ(rep.outcome, stream::SoakOutcome::Ok);
         return rep.chainDigest;

@@ -4,8 +4,8 @@
  * for any thread count, the two-phase engine and the parallel
  * consensus stage must produce BIT-IDENTICAL results — completion
  * orders, state digests, engine statistics, audit verdicts and block
- * serializations. These tests pin thread counts explicitly (1, 2, 8)
- * so the pool is exercised even on single-core CI machines.
+ * serializations. These tests pin thread counts explicitly (1, 2, 4,
+ * 8) so the pool is exercised even on single-core CI machines.
  */
 
 #include <gtest/gtest.h>
@@ -120,7 +120,7 @@ TEST(Determinism, EngineIdenticalAcrossThreads)
     for (const EngineStats &stats : ref)
         ASSERT_FALSE(stats.watchdogFired);
 
-    for (int threads : {2, 8}) {
+    for (int threads : {2, 4, 8}) {
         auto got = runSequence(blocks, gen.genesis(), threads);
         ASSERT_EQ(got.size(), ref.size());
         for (std::size_t b = 0; b < ref.size(); ++b) {

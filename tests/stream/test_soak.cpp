@@ -63,6 +63,8 @@ runSoak(const SoakSetup &s)
     run.threads = s.threads;
 
     StreamServer server(cfg, run, gen.genesis(), gen.contracts(), scfg);
+    std::uint64_t offered = 0;
+    std::uint64_t held_back = 0;
     auto producer = [&](std::uint64_t slot, std::size_t credits) {
         // Wallet behaviour: resync issued nonces against the pool's
         // pending view so shed/bounced nonces get re-issued instead of
@@ -78,12 +80,40 @@ runSoak(const SoakSetup &s)
                                        + 0.5);
         std::size_t send =
             prof.byzantine ? want : std::min(want, credits);
+        offered += want;
+        held_back += want - send;
         if (prof.byzantine)
             return wire_gen.slotTxs(slot, send,
                                     mix.boosted(prof.mixBoost));
         return wire_gen.slotTxs(slot, send);
     };
-    return server.run(producer, s.slots);
+    SoakReport rep = server.run(producer, s.slots);
+    // The server sees only what was sent; the credit-held remainder is
+    // the producer's to report (the mtpu_sim convention).
+    rep.offered = offered;
+    rep.producerHeldBack = held_back;
+    return rep;
+}
+
+/**
+ * The disposition identities: every offered tx is held back by
+ * credits or counted under exactly one admission code, and the
+ * failed-receipt split covers the total.
+ */
+void
+expectDispositionsAccounted(const SoakReport &rep)
+{
+    const MempoolStats &p = rep.pool;
+    std::uint64_t by_code = 0;
+    for (std::uint64_t n : p.byCode)
+        by_code += n;
+    EXPECT_EQ(rep.offered, p.submitted + rep.producerHeldBack);
+    EXPECT_EQ(p.submitted, by_code);
+    EXPECT_EQ(p.admitted,
+              p.byCode[std::size_t(Admit::Admitted)]
+                  + p.byCode[std::size_t(Admit::Replaced)]);
+    EXPECT_EQ(rep.failedReceipts,
+              rep.revertedReceipts + rep.executionFailures);
 }
 
 TEST(StreamSoak, SurvivesFiveTimesOverloadWithBoundedMemory)
@@ -108,6 +138,7 @@ TEST(StreamSoak, SurvivesFiveTimesOverloadWithBoundedMemory)
     EXPECT_LE(rep.pool.peakDepth, s.poolCap);
     // Overload shows up as queueing delay in the latency tail.
     EXPECT_GT(rep.latencyP99, 0.0);
+    expectDispositionsAccounted(rep);
 }
 
 TEST(StreamSoak, ChaosSoakIsSeedReproducible)
