@@ -1070,31 +1070,11 @@ FastInterpreter::frameAt(std::size_t depth)
     return *arena_[depth];
 }
 
-void
-FastInterpreter::armAbort(const AbortInjection &inj)
-{
-    ref_.armAbort(inj);
-    abortArmed_ = true;
-}
-
-void
-FastInterpreter::disarmAbort()
-{
-    ref_.disarmAbort();
-    abortArmed_ = false;
-}
-
 CallResult
 FastInterpreter::call(WorldState &state, const BlockHeader &header,
                       const Address &origin, const U256 &gas_price,
-                      const CallParams &params, Trace *trace)
+                      const CallParams &params)
 {
-    if (trace || abortArmed_) {
-        CallResult res = ref_.call(state, header, origin, gas_price,
-                                   params, trace);
-        logs_ = ref_.logs();
-        return res;
-    }
     FastCtx ctx{state, header, origin, gas_price, &logs_, this};
     return fastCall(ctx, params);
 }
@@ -1102,20 +1082,8 @@ FastInterpreter::call(WorldState &state, const BlockHeader &header,
 Receipt
 FastInterpreter::applyTransaction(WorldState &state,
                                   const BlockHeader &header,
-                                  const Transaction &tx, Trace *trace,
-                                  bool commitState)
+                                  const Transaction &tx, bool commitState)
 {
-    // Trace capture and armed abort injection need per-instruction
-    // hooks; those transactions run on the reference tier wholesale,
-    // which keeps fault campaigns and traced runs exact.
-    if (trace || abortArmed_) {
-        Receipt receipt = ref_.applyTransaction(state, header, tx, trace,
-                                                commitState);
-        logs_ = ref_.logs();
-        abortArmed_ = false; // one-shot, same as the reference
-        return receipt;
-    }
-
     logs_.clear();
     Receipt receipt;
 

@@ -8,8 +8,8 @@
  * differential tests in tests/functional pin this.
  *
  * Runs that need per-instruction hooks (trace capture, armed abort
- * injection) are delegated wholesale to an internal reference
- * Interpreter, so fault-injection campaigns stay exact.
+ * injection, commutative tagging) belong to the reference Interpreter;
+ * evm::BlockCommitter picks the tier per transaction.
  */
 
 #pragma once
@@ -19,7 +19,6 @@
 
 #include "evm/interpreter.hpp"
 #include "evm/state.hpp"
-#include "evm/trace.hpp"
 #include "evm/types.hpp"
 
 namespace mtpu::evm {
@@ -44,20 +43,12 @@ class FastInterpreter
     /** Same contract as Interpreter::call. */
     CallResult call(WorldState &state, const BlockHeader &header,
                     const Address &origin, const U256 &gas_price,
-                    const CallParams &params, Trace *trace = nullptr);
+                    const CallParams &params);
 
     /** Same contract as Interpreter::applyTransaction. */
     Receipt applyTransaction(WorldState &state, const BlockHeader &header,
-                             const Transaction &tx, Trace *trace = nullptr,
+                             const Transaction &tx,
                              bool commitState = true);
-
-    /**
-     * Arm a one-shot forced abort. The next applyTransaction runs on
-     * the reference tier (the abort counts *executed instructions*,
-     * which only the per-instruction loop models exactly).
-     */
-    void armAbort(const AbortInjection &inj);
-    void disarmAbort();
 
     /** Logs collected by the most recent applyTransaction/call. */
     const std::vector<LogEntry> &logs() const { return logs_; }
@@ -70,8 +61,6 @@ class FastInterpreter
     std::vector<LogEntry> logs_;
     std::vector<std::unique_ptr<FastFrame>> arena_;
     DecodeCache *cache_;
-    Interpreter ref_;          ///< delegate for trace/abort runs
-    bool abortArmed_ = false;
 };
 
 } // namespace mtpu::evm

@@ -187,12 +187,9 @@ speculateKeyed(const WorldState &base, const BlockHeader &header,
         interp.setCommTracker(&tracker);
         out.receipt = interp.applyTransaction(overlay, header, tx, trace,
                                               /*commitState=*/false);
-    } else if (opts.fastTier) {
-        FastInterpreter &interp = residentFastInterpreter();
-        if (opts.abort)
-            interp.armAbort(*opts.abort);
-        out.receipt = interp.applyTransaction(overlay, header, tx, trace,
-                                              /*commitState=*/false);
+    } else if (opts.fastTier && !trace && !opts.abort) {
+        out.receipt = residentFastInterpreter().applyTransaction(
+            overlay, header, tx, /*commitState=*/false);
     } else {
         Interpreter interp;
         if (opts.abort)
@@ -394,12 +391,12 @@ BlockCommitter::commit(std::size_t i)
         return out;
     }
 
+    // The fast tier has no per-instruction hooks, so traced and
+    // abort-armed transactions run on the reference tier.
     const AbortInjection *abort = abortFor(i);
-    if (opts_.fastTier && !opts_.wantTrace) {
-        FastInterpreter &interp = residentFastInterpreter();
-        if (abort)
-            interp.armAbort(*abort);
-        out.receipt = interp.applyTransaction(live_, header_, *txs_[i]);
+    if (opts_.fastTier && !opts_.wantTrace && !abort) {
+        out.receipt = residentFastInterpreter().applyTransaction(
+            live_, header_, *txs_[i]);
         return out;
     }
 

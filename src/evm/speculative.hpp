@@ -133,8 +133,9 @@ struct SpecOptions
     /**
      * Execute on the functional fast tier (direct-threaded interpreter
      * over pre-decoded bytecode) instead of the reference per-opcode
-     * loop. Results are bit-identical; abort-armed runs self-delegate
-     * back to the reference tier.
+     * loop. Results are bit-identical; traced and abort-armed runs
+     * stay on the reference tier, which alone has per-instruction
+     * hooks.
      */
     bool fastTier = false;
 
@@ -245,19 +246,20 @@ struct CommittedTx
  * so no frozen copy of it is needed. commit(i) then replays the
  * speculation of transaction i if specCheckLive() passes, and
  * re-executes it on @p live otherwise: on the tier SpecOptions::
- * fastTier picks, or in trace mode on the reference tier with access
- * tracking and the commutative detector. State, receipts, traces and
- * access sets are bit-identical to sequential execution in commit
- * order, whatever the pool or tier. The caller picks the order; each
- * index commits at most once.
+ * fastTier picks, or on the reference tier when an abort is armed or
+ * in trace mode (there with access tracking and the commutative
+ * detector). State, receipts, traces and access sets are bit-identical
+ * to sequential execution in commit order, whatever the pool or tier.
+ * The caller picks the order; each index commits at most once.
  */
 class BlockCommitter
 {
   public:
     /**
      * @param opts reads wantTrace (trace mode), commutative and
-     *        fastTier (the re-execution tier; speculations always run
-     *        on the fast tier).
+     *        fastTier (the re-execution tier; speculations run on the
+     *        fast tier unless a trace, commutative tagging or an armed
+     *        abort needs the reference tier).
      * @param aborts injected aborts by transaction index, armed on the
      *        speculation and on any re-execution of that transaction.
      */

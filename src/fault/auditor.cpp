@@ -45,9 +45,9 @@ Auditor::digestInOrder(const std::vector<int> &order) const
 {
     MTPU_OBS_COUNT("fault.audit_replayed_txs", order.size());
     evm::WorldState state = genesis_;
-    // No pool: every transaction re-executes on the fast tier, and an
-    // abort directive's replay self-delegates to the reference tier,
-    // so injected-fault replays stay instruction-exact.
+    // No pool: every transaction re-executes on the fast tier, except
+    // that the committer runs an abort directive's victim on the
+    // reference tier, so injected-fault replays stay instruction-exact.
     evm::SpecOptions opts;
     opts.fastTier = true;
     evm::BlockCommitter committer(state, block_.header,

@@ -24,7 +24,7 @@
 
 namespace mtpu::workload {
 
-/** The workload packs (HotToken/MintStorm predate this module). */
+/** The workload packs. */
 enum class Pack
 {
     HotToken,        ///< every tx a Dai transfer to one hot receiver

@@ -6,7 +6,6 @@
 #include "evm/commutative.hpp"
 #include "evm/speculative.hpp"
 #include "obs/metrics.hpp"
-#include "workload/packs.hpp"
 
 namespace mtpu::workload {
 
@@ -549,22 +548,6 @@ Generator::buildBlockFrom(std::vector<PackTx> drafts)
     }
     runConsensusStage(block);
     return block;
-}
-
-BlockRun
-Generator::hotTokenBlock(int tx_count)
-{
-    PackParams params;
-    params.txCount = tx_count;
-    return buildPackBlock(*this, Pack::HotToken, params);
-}
-
-BlockRun
-Generator::mintStormBlock(int tx_count)
-{
-    PackParams params;
-    params.txCount = tx_count;
-    return buildPackBlock(*this, Pack::MintStorm, params);
 }
 
 TxRecord

@@ -184,22 +184,6 @@ class Generator
     BlockRun contractBatch(const std::string &contract, int tx_count);
 
     /**
-     * Conflict-heavy pack: every transaction is a Dai transfer from a
-     * distinct sender to one hot receiver, so all of them collide on
-     * balances[hot] — a pure checked-add chain. Exact validation
-     * degenerates to serial re-execution; commutative validation
-     * (DESIGN.md §14) commits them all as deltas.
-     */
-    BlockRun hotTokenBlock(int tx_count);
-
-    /**
-     * NFT-mint-storm-style pack: distinct senders each mint to
-     * themselves, colliding only on the monotonic totalSupply counter
-     * (checked-add chain with an overflow guard).
-     */
-    BlockRun mintStormBlock(int tx_count);
-
-    /**
      * One drafted (not yet executed) pack transaction. The workload
      * packs (packs.hpp) draft these and hand them to buildBlockFrom;
      * the stress fuzzer interleaves drafts from several packs into a

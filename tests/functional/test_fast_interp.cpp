@@ -481,71 +481,6 @@ TEST(FastInterpDiff, InsufficientBalanceAndIntrinsicGas)
     }
 }
 
-TEST(FastInterpDiff, TraceRequestDelegatesToReference)
-{
-    Assembler a;
-    a.push(U256(1)).push(U256(2)).op(Assembler::Op::ADD);
-    a.returnTopWord();
-    Bytes code = a.assemble();
-
-    BlockHeader header = testHeader();
-    Transaction tx;
-    tx.from = kSender;
-    tx.to = kContract;
-
-    WorldState refState = baseState(code);
-    WorldState fastState = baseState(code);
-    Interpreter ref;
-    FastInterpreter fast;
-    Trace wantTrace, gotTrace;
-    Receipt want = ref.applyTransaction(refState, header, tx, &wantTrace);
-    Receipt got = fast.applyTransaction(fastState, header, tx, &gotTrace);
-    EXPECT_EQ(got.toRlp(), want.toRlp());
-    EXPECT_EQ(gotTrace.events.size(), wantTrace.events.size());
-    EXPECT_EQ(fastState.digest(), refState.digest());
-}
-
-TEST(FastInterpDiff, ArmedAbortDelegatesToReference)
-{
-    Assembler a;
-    a.push(U256(0));
-    a.dest("loop");
-    a.push(U256(1)).op(Assembler::Op::ADD);
-    a.op(Assembler::Op::DUP1);
-    a.push(U256(1000)).op(Assembler::Op::GT);
-    a.pushLabel("loop").op(Assembler::Op::JUMPI);
-    a.stop();
-    Bytes code = a.assemble();
-
-    BlockHeader header = testHeader();
-    Transaction tx;
-    tx.from = kSender;
-    tx.to = kContract;
-
-    AbortInjection inj;
-    inj.afterInstructions = 50;
-    inj.outOfGas = true;
-
-    WorldState refState = baseState(code);
-    WorldState fastState = baseState(code);
-    Interpreter ref;
-    FastInterpreter fast;
-    ref.armAbort(inj);
-    fast.armAbort(inj);
-    Receipt want = ref.applyTransaction(refState, header, tx);
-    Receipt got = fast.applyTransaction(fastState, header, tx);
-    EXPECT_EQ(got.toRlp(), want.toRlp());
-    EXPECT_FALSE(got.success);
-    EXPECT_EQ(fastState.digest(), refState.digest());
-
-    // One-shot: the next transaction runs clean on both tiers.
-    Receipt want2 = ref.applyTransaction(refState, header, tx);
-    Receipt got2 = fast.applyTransaction(fastState, header, tx);
-    EXPECT_EQ(got2.toRlp(), want2.toRlp());
-    EXPECT_TRUE(got2.success);
-    EXPECT_EQ(fastState.digest(), refState.digest());
-}
-
 TEST(FastInterpDiff, GeneratedContractBatchesMatch)
 {
     // Whole TOP8 batches through both tiers: receipts and final digest

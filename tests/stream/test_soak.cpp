@@ -141,6 +141,29 @@ TEST(StreamSoak, SurvivesFiveTimesOverloadWithBoundedMemory)
     expectDispositionsAccounted(rep);
 }
 
+/**
+ * Credit backpressure: a slot grants the pool's free space plus
+ * MempoolConfig::creditReserve, so an offer above poolCap + reserve
+ * per slot must be held back at the producer while the pool stays
+ * bounded and every offered tx is still accounted for.
+ */
+TEST(StreamSoak, CreditsHoldBackAnOfferAboveTheGrant)
+{
+    SoakSetup s;
+    s.slots = 8;
+    s.blockCap = 8;
+    s.poolCap = 96;
+    s.rate = int(s.poolCap + MempoolConfig{}.creditReserve) + 40;
+    SoakReport rep = runSoak(s);
+
+    EXPECT_EQ(rep.outcome, SoakOutcome::Ok)
+        << soakOutcomeName(rep.outcome);
+    EXPECT_EQ(rep.auditFailures, 0);
+    EXPECT_GE(rep.producerHeldBack, 40u * s.slots);
+    EXPECT_LE(rep.pool.peakDepth, s.poolCap);
+    expectDispositionsAccounted(rep);
+}
+
 TEST(StreamSoak, ChaosSoakIsSeedReproducible)
 {
     SoakSetup s;

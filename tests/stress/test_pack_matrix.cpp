@@ -10,7 +10,9 @@
  *
  * gating on bit-identical state digests against the sequential
  * reference, clean serializability audits, and receipt equality
- * against the consensus-stage ground truth. The faulted cycle runs
+ * against the consensus-stage ground truth. The functional paths also
+ * run a chain of two pack blocks against the sequential chain's
+ * digest and receipts. The faulted cycle runs
  * execute a degraded block (dropped DAG edges, forced aborts, PU
  * kills) and must still converge to the same digest.
  *
@@ -174,35 +176,46 @@ TEST_P(PackMatrix, AllBackendsBitIdenticalUnderFaults)
 
     const std::string pack_name = workload::packName(GetParam());
 
+    // Chained input: a second pack block executed on the first one's
+    // post-state, not on the genesis its consensus stage ran from. Its
+    // digest and receipts are those of the sequential chain.
+    const workload::BlockRun next =
+        workload::buildPackBlock(gen, GetParam(), params);
+    core::FunctionalBlockResult ref_next = ref.executeBlock(next);
+    const U256 want_chain = ref.state().digest();
+
     // Functional tier: cold-memo exact, cold-memo commutative, then a
-    // warm-memo replay over the cache the cold runs just filled. The
-    // fault matrix below is a cycle-engine concern — the functional
-    // tier has no DAG or PUs to degrade.
-    for (bool commutative : {false, true}) {
-        evm::MemoCache::global().clear();
+    // warm-memo replay over the cache the cold runs just filled, each
+    // over the block and then over the chain. The fault matrix below
+    // is a cycle-engine concern — the functional tier has no DAG or
+    // PUs to degrade.
+    auto runFunctional = [&](bool commutative, bool cold,
+                             const std::string &variant) {
+        if (cold)
+            evm::MemoCache::global().clear();
         core::FunctionalPipeline pipe(genesis, kThreads);
         pipe.setCommutative(commutative);
+        const std::string label = pack_name + " / functional " + variant;
         core::FunctionalBlockResult res = pipe.executeBlock(block);
-        EXPECT_EQ(pipe.state().digest(), want)
-            << pack_name << " / functional cold commutative="
-            << commutative;
-        ASSERT_EQ(res.receipts.size(), block.txs.size());
+        EXPECT_EQ(pipe.state().digest(), want) << label;
+        ASSERT_EQ(res.receipts.size(), block.txs.size()) << label;
         for (std::size_t i = 0; i < block.txs.size(); ++i) {
             EXPECT_EQ(res.receipts[i].toRlp(),
                       block.txs[i].receipt.toRlp())
-                << pack_name << " / functional receipt " << i;
+                << label << " receipt " << i;
         }
-    }
-    core::FunctionalPipeline warm(genesis, kThreads);
-    core::FunctionalBlockResult warm_res = warm.executeBlock(block);
-    EXPECT_EQ(warm.state().digest(), want)
-        << pack_name << " / functional warm-memo";
-    ASSERT_EQ(warm_res.receipts.size(), block.txs.size());
-    for (std::size_t i = 0; i < block.txs.size(); ++i) {
-        EXPECT_EQ(warm_res.receipts[i].toRlp(),
-                  block.txs[i].receipt.toRlp())
-            << pack_name << " / warm receipt " << i;
-    }
+        res = pipe.executeBlock(next);
+        EXPECT_EQ(pipe.state().digest(), want_chain) << label << " chain";
+        ASSERT_EQ(res.receipts.size(), ref_next.receipts.size()) << label;
+        for (std::size_t i = 0; i < res.receipts.size(); ++i) {
+            EXPECT_EQ(res.receipts[i].toRlp(),
+                      ref_next.receipts[i].toRlp())
+                << label << " chain receipt " << i;
+        }
+    };
+    runFunctional(false, true, "cold exact");
+    runFunctional(true, true, "cold commutative");
+    runFunctional(false, false, "warm-memo");
 
     // Cycle engine x fault matrix: both validation variants execute
     // the SAME degraded block under the SAME plan, so their digests
