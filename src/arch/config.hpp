@@ -88,12 +88,9 @@ struct MtpuConfig
 
     // -- host execution backend -------------------------------------------
     /**
-     * Host threads for the two-phase parallel backend (phase 1
-     * functionally pre-executes transactions on a work-stealing pool,
-     * phase 2 replays the cycle-level schedule single-owner; DESIGN.md
-     * §9). 0 = support::ThreadPool::defaultThreads(); 1 = fully
-     * serial legacy path. Results are bit-identical at every value —
-     * this knob only trades host wall-clock time.
+     * Host threads of the processor's one pool (DESIGN.md §9), resolved
+     * by support::ThreadPool::resolveThreads(); 1 = serial. Results are
+     * bit-identical at every value: it only trades host wall time.
      */
     int threads = 0;
 

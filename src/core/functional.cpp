@@ -7,16 +7,8 @@ namespace mtpu::core {
 
 FunctionalPipeline::FunctionalPipeline(const evm::WorldState &pre_state,
                                        int threads)
-    : state_(pre_state)
-{
-    unsigned resolved = threads <= 0
-                            ? support::ThreadPool::defaultThreads()
-                            : unsigned(threads);
-    if (resolved > 1)
-        pool_ = std::make_unique<support::ThreadPool>(resolved);
-}
-
-FunctionalPipeline::~FunctionalPipeline() = default;
+    : state_(pre_state), pool_(support::ThreadPool::forThreads(threads))
+{}
 
 FunctionalBlockResult
 FunctionalPipeline::executeBlock(const workload::BlockRun &block)

@@ -48,12 +48,11 @@ class FunctionalPipeline
   public:
     /**
      * @param pre_state starting chain state (copied).
-     * @param threads 0 resolves to ThreadPool::defaultThreads(),
+     * @param threads host threads (ThreadPool::resolveThreads()):
      *        1 = sequential, > 1 = speculative fan-out.
      */
     explicit FunctionalPipeline(const evm::WorldState &pre_state,
                                 int threads = 1);
-    ~FunctionalPipeline();
 
     /** Execute and commit one block against the owned state. */
     FunctionalBlockResult executeBlock(const workload::BlockRun &block);

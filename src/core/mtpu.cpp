@@ -1,10 +1,14 @@
 #include "core/mtpu.hpp"
 
-#include <algorithm>
+#include "evm/speculative.hpp"
+#include "fault/plan.hpp"
+#include "obs/metrics.hpp"
 
 namespace mtpu::core {
 
-MtpuProcessor::MtpuProcessor(const arch::MtpuConfig &cfg) : cfg_(cfg) {}
+MtpuProcessor::MtpuProcessor(const arch::MtpuConfig &cfg)
+    : cfg_(cfg), pool_(support::ThreadPool::forThreads(cfg.threads))
+{}
 
 MtpuProcessor::~MtpuProcessor() = default;
 
@@ -14,23 +18,7 @@ MtpuProcessor::variantConfig(const RunOptions &options) const
     arch::MtpuConfig cfg = cfg_;
     cfg.enableContextReuse = options.redundancyOpt;
     cfg.retainDbAcrossTxs = options.redundancyOpt;
-    if (options.threads >= 0)
-        cfg.threads = options.threads;
     return cfg;
-}
-
-support::ThreadPool *
-MtpuProcessor::hostPool()
-{
-    if (!poolInit_) {
-        poolInit_ = true;
-        unsigned threads = cfg_.threads == 0
-                               ? support::ThreadPool::defaultThreads()
-                               : unsigned(std::max(cfg_.threads, 1));
-        if (threads > 1)
-            pool_ = std::make_unique<support::ThreadPool>(threads);
-    }
-    return pool_.get();
 }
 
 void
@@ -39,6 +27,61 @@ MtpuProcessor::warmup(const workload::BlockRun &block, std::size_t top_n)
     hotspot_.collect(block);
     hotspot_.markTopHotspots(top_n);
 }
+
+namespace {
+
+/** A spatio-temporal run with functional state (see
+ *  MtpuProcessor::execute()). */
+sched::EngineStats
+commitRun(sched::SpatioTemporalEngine &engine,
+          const workload::BlockRun &block, const sched::HintProvider &hints,
+          const sched::RecoveryOptions &rec, bool commutative,
+          support::ThreadPool *pool)
+{
+    // One copy of genesis, speculated against on the pool; the step
+    // replays a still-valid speculation or re-executes, so the state is
+    // bit-identical at any thread count. Re-execution stays on the
+    // reference tier: the fast tier's process-wide DecodeCache raised
+    // verify-top8's peak RSS by 16%.
+    auto live = std::make_shared<evm::WorldState>(*rec.genesis);
+    evm::SpecOptions opts;
+    opts.commutative = commutative && rec.validateConflicts;
+    evm::BlockCommitter committer(*live, block.header, block.transactions(),
+                                  opts, pool,
+                                  rec.plan ? &rec.plan->aborts : nullptr);
+
+    sched::EngineStats tally;
+    auto step = [&](int tx_idx) {
+        evm::CommittedTx c = committer.commit(std::size_t(tx_idx));
+        if (c.replayed()) {
+            ++tally.specReplayed;
+            MTPU_OBS_COUNT("spec.commit.replayed", 1);
+        } else {
+            if (c.verdict == evm::SpecVerdict::BoundsMiss)
+                ++tally.reexecBoundsMiss;
+            else if (c.verdict)
+                ++tally.reexecValidationMiss;
+            MTPU_OBS_COUNT("spec.commit.reexecuted", 1);
+        }
+        if (!c.receipt.success) {
+            ++tally.failedTxs;
+            if (c.receipt.error == "reverted")
+                ++tally.revertedTxs;
+        }
+        return sched::CommitOutcome{!c.receipt.success, c.replayed()};
+    };
+
+    sched::EngineStats stats = engine.run(block, hints, rec, step);
+    stats.failedTxs = tally.failedTxs;
+    stats.revertedTxs = tally.revertedTxs;
+    stats.specReplayed = tally.specReplayed;
+    stats.reexecValidationMiss = tally.reexecValidationMiss;
+    stats.reexecBoundsMiss = tally.reexecBoundsMiss;
+    stats.finalState = std::move(live);
+    return stats;
+}
+
+} // namespace
 
 sched::EngineStats
 MtpuProcessor::execute(const workload::BlockRun &block,
@@ -75,7 +118,10 @@ MtpuProcessor::execute(const workload::BlockRun &block,
               st = std::make_unique<sched::SpatioTemporalEngine>(cfg);
               st->setTracer(tracer_);
           }
-          return st->run(*run, hints, options.recovery);
+          if (!options.recovery.genesis)
+              return st->run(*run, hints, options.recovery);
+          return commitRun(*st, *run, hints, options.recovery,
+                           cfg_.commutative, pool_.get());
       }
     }
     return {};
@@ -93,7 +139,7 @@ MtpuProcessor::executeAudited(const workload::BlockRun &block,
     out.stats = execute(block, opts);
     fault::Auditor auditor(genesis, block, opts.recovery.plan,
                            cfg_.commutative);
-    auditor.usePool(hostPool());
+    auditor.usePool(pool_.get());
     out.audit = auditor.audit(out.stats);
     return out;
 }
@@ -121,7 +167,7 @@ MtpuProcessor::compare(const workload::BlockRun &block,
     // disjoint engine state, so with a pool they run as two concurrent
     // tasks; each side is deterministic on its own, so the report is
     // identical either way.
-    if (support::ThreadPool *pool = hostPool()) {
+    if (support::ThreadPool *pool = pool_.get()) {
         pool->runAll({
             [&] { report.stats = execute(block, options); },
             [&] {

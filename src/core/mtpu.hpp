@@ -16,6 +16,7 @@
 #include "fault/auditor.hpp"
 #include "hotspot/hotspot.hpp"
 #include "sched/engine.hpp"
+#include "support/thread_pool.hpp"
 #include "workload/workload.hpp"
 
 namespace mtpu::core {
@@ -44,11 +45,8 @@ struct RunOptions
     sched::RecoveryOptions recovery;
 
     /**
-     * Host threads for this run's engine (MtpuConfig::threads):
-     * -1 inherits the processor configuration, 0 resolves to
-     * support::ThreadPool::defaultThreads(), >= 1 is explicit.
-     * Captured when the (scheme, redundancy) engine variant is first
-     * created; results are bit-identical at every value.
+     * Not read: a processor's host threads are its one pool, sized by
+     * MtpuConfig::threads, and every caller sets this equal to it.
      */
     int threads = -1;
 };
@@ -93,7 +91,12 @@ class MtpuProcessor
      */
     void warmup(const workload::BlockRun &block, std::size_t top_n = 16);
 
-    /** Execute a block under the given scheme/optimizations. */
+    /**
+     * Execute a block under the given scheme/optimizations. With
+     * options.recovery.genesis set (SpatioTemporal scheme) the
+     * processor owns the run's functional state: it copies genesis
+     * and supplies the engine's commit step (DESIGN.md §8).
+     */
     sched::EngineStats execute(const workload::BlockRun &block,
                                const RunOptions &options);
 
@@ -130,18 +133,18 @@ class MtpuProcessor
      */
     void setTracer(obs::Tracer *tracer);
 
+    /** The one host pool (MtpuConfig::threads; null when serial): commit
+     *  fan-out, compare()'s overlap, audit digests, and a caller's
+     *  consensus stage (stream::StreamServer). */
+    support::ThreadPool *hostPool() const { return pool_.get(); }
+
   private:
     arch::MtpuConfig
     variantConfig(const RunOptions &options) const;
 
-    /** Lazily created host pool for compare()'s scheme-vs-baseline
-     *  fan-out and the audit digests; null when threads resolve to 1. */
-    support::ThreadPool *hostPool();
-
     arch::MtpuConfig cfg_;
     hotspot::HotspotOptimizer hotspot_;
     std::unique_ptr<support::ThreadPool> pool_;
-    bool poolInit_ = false;
 
     obs::Tracer *tracer_ = nullptr;
 

@@ -69,8 +69,7 @@ Persistence::Persistence(const PersistConfig &cfg,
 RecoveryResult
 Persistence::recover(const arch::MtpuConfig &hw_cfg,
                      const core::RunOptions &run,
-                     const evm::WorldState &genesis,
-                     support::ThreadPool *pool)
+                     const evm::WorldState &genesis)
 {
     RecoveryResult res;
     // Warm point (DESIGN.md §16): every copy of genesis below starts
@@ -229,7 +228,7 @@ Persistence::recover(const arch::MtpuConfig &hw_cfg,
             if (txListDigest(block.txs) != rec.txDigest)
                 return fail("tx digest mismatch at height "
                             + std::to_string(rec.height));
-            workload::runConsensusStage(block, res.state, pool);
+            workload::runConsensusStage(block, res.state);
             core::AuditedRun out =
                 proc.executeAudited(block, res.state, replay_run);
             if (!out.ok() || !out.stats.finalState)

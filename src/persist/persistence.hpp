@@ -46,7 +46,6 @@
 #include "persist/snapshot.hpp"
 #include "persist/storage.hpp"
 #include "persist/wal.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mtpu::persist {
 
@@ -124,8 +123,7 @@ class Persistence
      */
     RecoveryResult recover(const arch::MtpuConfig &hw_cfg,
                            const core::RunOptions &run,
-                           const evm::WorldState &genesis,
-                           support::ThreadPool *pool = nullptr);
+                           const evm::WorldState &genesis);
 
     /**
      * Frame, append and fsync one committed block; fires the armed

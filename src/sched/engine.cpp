@@ -1,11 +1,9 @@
 #include "sched/engine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <queue>
 #include <tuple>
 
-#include "evm/speculative.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 
@@ -65,12 +63,6 @@ SpatioTemporalEngine::SpatioTemporalEngine(const arch::MtpuConfig &cfg)
 {
     for (int i = 0; i < cfg.numPus; ++i)
         pus_.push_back(std::make_unique<arch::PuModel>(cfg, &stateBuffer_));
-
-    unsigned threads = cfg.threads == 0
-                           ? support::ThreadPool::defaultThreads()
-                           : unsigned(std::max(cfg.threads, 1));
-    if (threads > 1)
-        pool_ = std::make_unique<support::ThreadPool>(threads);
 }
 
 void
@@ -90,14 +82,9 @@ SpatioTemporalEngine::setTracer(obs::Tracer *tracer)
 }
 
 EngineStats
-SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints)
-{
-    return run(block, hints, RecoveryOptions{});
-}
-
-EngineStats
 SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints,
-                          const RecoveryOptions &rec)
+                          const RecoveryOptions &rec,
+                          const CommitStep &commit)
 {
     const std::size_t n = block.txs.size();
     EngineStats stats;
@@ -113,7 +100,6 @@ SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints,
 
     const fault::FaultPlan *plan = rec.plan;
     const bool validate = rec.validateConflicts;
-    const bool functional = rec.genesis != nullptr;
     // Commutative edge elision (DESIGN.md §14) only with the recovery
     // validation layer armed: the range checks at commit are what keep
     // an elided-order commit bit-identical.
@@ -150,25 +136,6 @@ SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints,
     auto ship_deps = [&](std::size_t j) -> const std::vector<int> & {
         return comm ? commDeps[j] : block.txs[j].deps;
     };
-
-    // Functional state (recovery runs only). The committer speculates
-    // every transaction against the untouched live copy of genesis on
-    // the pool; the event loop below stays single-owner and commits
-    // each transaction at its completion event, by replaying a
-    // still-valid speculation or by re-executing, so the committed
-    // state is bit-identical for any thread count — including 1, where
-    // there is no fan-out. Re-execution stays on the reference tier:
-    // the fast tier would decode every contract into the process-wide
-    // DecodeCache, which raised verify-top8's peak RSS by 16%.
-    evm::WorldState live;
-    std::optional<evm::BlockCommitter> committer;
-    if (functional) {
-        live = *rec.genesis;
-        evm::SpecOptions opts;
-        opts.commutative = comm;
-        committer.emplace(live, block.header, block.transactions(), opts,
-                          pool_.get(), plan ? &plan->aborts : nullptr);
-    }
 
     // --- dependency bookkeeping -------------------------------------
     std::vector<TxState> state(n, TxState::Pending);
@@ -507,41 +474,22 @@ SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints,
             }
         }
 
-        bool receipt_failed = false;
-        if (functional && !violation) {
-            // Functional commit, single-owner; a violation commits
-            // nothing at all.
-            evm::CommittedTx c = committer->commit(std::size_t(tx_idx));
-            if (c.replayed())
-                ++stats.specReplayed;
-            else if (c.verdict == evm::SpecVerdict::BoundsMiss)
-                ++stats.reexecBoundsMiss;
-            else if (c.verdict)
-                ++stats.reexecValidationMiss;
+        // The caller's commit step; a violation commits nothing.
+        CommitOutcome outcome;
+        if (commit && !violation) {
+            outcome = commit(tx_idx);
             // Host-domain event: which commit path was taken depends on
             // the host thread count (with threads = 1 there is nothing
             // to replay), so it never enters the deterministic trace.
             if (tracer_)
                 tracer_->emit(obs::TraceKind::SpecCommitPath, now, p,
-                              std::uint64_t(tx_idx), c.replayed() ? 1 : 0);
-            if (c.replayed())
-                MTPU_OBS_COUNT("spec.commit.replayed", 1);
-            else
-                MTPU_OBS_COUNT("spec.commit.reexecuted", 1);
-            if (!c.receipt.success) {
-                const bool injected = plan && plan->abortFor(tx_idx);
-                receipt_failed = true;
-                ++stats.failedTxs;
-                if (c.receipt.error == "reverted")
-                    ++stats.revertedTxs;
-                if (injected)
-                    ++stats.injectedAborts;
-                if (tracer_ && injected)
-                    tracer_->emit(obs::TraceKind::TxInjectedAbort, now, p,
-                                  std::uint64_t(tx_idx));
-            }
-        } else if (!functional && !violation && plan
-                   && plan->abortFor(tx_idx)) {
+                              std::uint64_t(tx_idx),
+                              outcome.replayed ? 1 : 0);
+        }
+        // An injected abort counts where it fired: always on a
+        // cycle-only run, on a failed receipt with a commit step.
+        if (!violation && plan && plan->abortFor(tx_idx)
+            && (!commit || outcome.failed)) {
             ++stats.injectedAborts;
             if (tracer_)
                 tracer_->emit(obs::TraceKind::TxInjectedAbort, now, p,
@@ -564,13 +512,11 @@ SpatioTemporalEngine::run(const BlockRun &block, const HintProvider &hints,
         stats.completionOrder.push_back(tx_idx);
         if (tracer_)
             tracer_->emit(obs::TraceKind::TxCommit, now, p,
-                          std::uint64_t(tx_idx), receipt_failed ? 1 : 0);
+                          std::uint64_t(tx_idx), outcome.failed ? 1 : 0);
         ++done_count;
         dispatch_idle();
     }
 
-    if (functional)
-        stats.finalState = std::make_shared<evm::WorldState>(std::move(live));
     stats.makespan = now;
 
     MTPU_OBS_COUNT("sched.blocks", 1);

@@ -22,7 +22,6 @@
 #include "obs/tracer.hpp"
 #include "sched/recovery.hpp"
 #include "sched/tables.hpp"
-#include "support/thread_pool.hpp"
 #include "workload/workload.hpp"
 
 namespace mtpu::sched {
@@ -30,6 +29,21 @@ namespace mtpu::sched {
 /** Hook supplying hotspot execution hints per transaction. */
 using HintProvider =
     std::function<arch::ExecHints(const workload::TxRecord &)>;
+
+/** What a commit step reports: the TxCommit event's failed flag and
+ *  the host-domain SpecCommitPath event's replayed bit. */
+struct CommitOutcome
+{
+    bool failed = false;
+    bool replayed = false;
+};
+
+/**
+ * Applies one transaction to the caller's functional state, called at
+ * each completion event that passes conflict validation. Its outcome
+ * only labels the trace; it never feeds back into the schedule.
+ */
+using CommitStep = std::function<CommitOutcome(int txIndex)>;
 
 /** Aggregate result of executing one block. */
 struct EngineStats
@@ -60,7 +74,7 @@ struct EngineStats
     std::uint64_t injectedAborts = 0;
     /** Re-dispatches of previously aborted transactions. */
     std::uint64_t retries = 0;
-    /** Committed transactions whose receipt failed (recovery mode). */
+    /** Committed transactions whose receipt failed (functional runs). */
     std::uint64_t failedTxs = 0;
     /** Functional commits served by replaying a valid speculation. */
     std::uint64_t specReplayed = 0;
@@ -88,8 +102,8 @@ struct EngineStats
     /** Diagnostic dump, set iff watchdogFired. */
     std::shared_ptr<WatchdogReport> watchdog;
     /**
-     * Final functional state of a recovery run (RecoveryOptions::
-     * genesis was set); null otherwise.
+     * Final functional state, set by core::MtpuProcessor when
+     * RecoveryOptions::genesis is set; null on cycle-only runs.
      */
     std::shared_ptr<evm::WorldState> finalState;
 
@@ -113,28 +127,26 @@ class SpatioTemporalEngine
      * PU microarchitectural state (DB caches, Call_Contract stacks)
      * persists across calls, modelling consecutive blocks; call
      * reset() for independent experiments.
-     */
-    EngineStats run(const workload::BlockRun &block,
-                    const HintProvider &hints = {});
-
-    /**
-     * Execute with the recovery layer: commit-time conflict validation
-     * against the consensus-stage access sets, journal rollback and
+     *
+     * @p recovery arms the recovery layer: commit-time conflict
+     * validation against the consensus-stage access sets,
      * priority-escalated retry of mispredicted transactions, injected
      * faults from RecoveryOptions::plan, and a watchdog that fails the
-     * block with a diagnostic dump instead of hanging. With a default
-     * RecoveryOptions this is identical to the two-argument run().
+     * block with a diagnostic dump instead of hanging.
+     *
+     * The engine holds no functional state: @p commit, when set,
+     * applies each validated transaction. The schedule and the
+     * deterministic trace are those of the cycle-only run, apart from
+     * TxCommit's failed flag and injected aborts that did not fire.
      */
     EngineStats run(const workload::BlockRun &block,
-                    const HintProvider &hints,
-                    const RecoveryOptions &recovery);
+                    const HintProvider &hints = {},
+                    const RecoveryOptions &recovery = {},
+                    const CommitStep &commit = {});
 
     void reset();
 
     const arch::PuModel &pu(int i) const { return *pus_[std::size_t(i)]; }
-
-    /** Host threads backing functional pre-execution (>= 1). */
-    unsigned hostThreads() const { return pool_ ? pool_->threads() : 1; }
 
     /**
      * Attach a cycle-level tracer (nullptr detaches). The engine's
@@ -148,14 +160,6 @@ class SpatioTemporalEngine
     arch::MtpuConfig cfg_;
     arch::StateBuffer stateBuffer_;
     std::vector<std::unique_ptr<arch::PuModel>> pus_;
-    /**
-     * Work-stealing pool for phase-1 functional pre-execution
-     * (cfg.threads; null when the resolved count is 1). The timing
-     * model and the commit order never run on it — they stay
-     * single-owner, which is what makes every thread count produce
-     * bit-identical results.
-     */
-    std::unique_ptr<support::ThreadPool> pool_;
     obs::Tracer *tracer_ = nullptr;
 };
 

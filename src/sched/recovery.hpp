@@ -9,9 +9,9 @@
  * transaction may abort mid-flight (REVERT / out-of-gas), and a PU may
  * stall or die. With recovery enabled the engine validates each
  * transaction's ground-truth read/write set against the committed
- * completion order at commit time, rolls mispredicted transactions
- * back through the WorldState journal, and re-enqueues them with
- * escalated priority (bounded, starvation-free). A cycle-budget
+ * completion order at commit time, commits nothing for mispredicted
+ * transactions, and re-enqueues them with escalated priority
+ * (bounded, starvation-free). A cycle-budget
  * watchdog turns livelock/deadlock into a failed block with a
  * diagnostic dump instead of a hang.
  */
@@ -42,10 +42,12 @@ struct RecoveryOptions
     bool validateConflicts = false;
 
     /**
-     * Pristine pre-block state. When set, the engine maintains a live
-     * WorldState: transactions are applied speculatively at completion
-     * and rolled back through the journal on a conflict violation. The
-     * final state is returned in EngineStats::finalState.
+     * Pristine pre-block state. The engine never executes against it
+     * (it only arms the watchdog, see active()): core::MtpuProcessor
+     * copies it once and commits each transaction into the copy at the
+     * engine's completion event, through the engine's commit step; a
+     * transaction that fails conflict validation commits nothing. The
+     * copy is returned in EngineStats::finalState.
      */
     const evm::WorldState *genesis = nullptr;
 

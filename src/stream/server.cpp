@@ -29,17 +29,11 @@ StreamServer::StreamServer(const arch::MtpuConfig &cfg,
     : cfg_(stream_cfg), run_(run), proc_(cfg), pool_(stream_cfg.pool),
       builder_(set, stream_cfg.block), chain_(genesis)
 {
-    // The streaming path always runs recovered: the engine maintains
-    // live functional state (finalState advances the chain) and the
+    // The streaming path always runs recovered: the processor keeps
+    // the functional state (finalState advances the chain) and the
     // watchdog turns livelock into a failed block instead of a hang.
     run_.scheme = core::Scheme::SpatioTemporal;
     run_.recovery.validateConflicts = true;
-
-    unsigned threads = cfg.threads == 0
-                           ? support::ThreadPool::defaultThreads()
-                           : unsigned(std::max(cfg.threads, 1));
-    if (threads > 1)
-        hostPool_ = std::make_unique<support::ThreadPool>(threads);
 }
 
 SoakReport
@@ -93,9 +87,10 @@ StreamServer::run(const Producer &producer, std::uint64_t slots)
             continue;
         }
 
-        // 2b. Deadline-budgeted block cut + consensus stage.
+        // 2b. Deadline-budgeted block cut + consensus stage, on the
+        //     processor's host pool: the server holds no pool of its own.
         BuiltBlock built = builder_.build(pool_, chain_,
-                                          hostPool_.get());
+                                          proc_.hostPool());
         if (built.empty()) {
             ++rep.emptyBlocks;
             continue;

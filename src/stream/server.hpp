@@ -205,7 +205,6 @@ class StreamServer
     Mempool pool_;
     BlockBuilder builder_;
     evm::WorldState chain_;
-    std::unique_ptr<support::ThreadPool> hostPool_;
     std::uint64_t slotCursor_ = 0;
     persist::Persistence *persist_ = nullptr;
 };

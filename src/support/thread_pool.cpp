@@ -31,8 +31,22 @@ ThreadPool::defaultThreads()
     return std::min(hardwareThreads(), kDefaultCap);
 }
 
-ThreadPool::ThreadPool(unsigned threads)
-    : parallelism_(threads == 0 ? defaultThreads() : threads)
+unsigned
+ThreadPool::resolveThreads(int threads)
+{
+    if (threads == 0)
+        return defaultThreads();
+    return unsigned(std::max(threads, 1));
+}
+
+std::unique_ptr<ThreadPool>
+ThreadPool::forThreads(int threads)
+{
+    const unsigned resolved = resolveThreads(threads);
+    return resolved > 1 ? std::make_unique<ThreadPool>(resolved) : nullptr;
+}
+
+ThreadPool::ThreadPool(unsigned threads) : parallelism_(threads)
 {
     for (unsigned i = 1; i < parallelism_; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });

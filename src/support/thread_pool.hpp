@@ -23,6 +23,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,10 +35,10 @@ class ThreadPool
   public:
     /**
      * @param threads total parallelism including the calling thread;
-     *        0 resolves to defaultThreads(). A pool of @p threads
-     *        spawns threads-1 workers.
+     *        a pool of @p threads spawns threads-1 workers. Configured
+     *        counts go through forThreads().
      */
-    explicit ThreadPool(unsigned threads = 0);
+    explicit ThreadPool(unsigned threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -67,6 +68,14 @@ class ThreadPool
      * machine with per-test pools.
      */
     static unsigned defaultThreads();
+
+    /** The rule for a configured host thread count: 0 resolves to
+     *  defaultThreads(), a negative count to 1, others to themselves. */
+    static unsigned resolveThreads(int threads);
+
+    /** A pool of resolveThreads(@p threads), or null (the serial
+     *  path) when that is 1. */
+    static std::unique_ptr<ThreadPool> forThreads(int threads);
 
     /** Hardware concurrency, never 0. */
     static unsigned hardwareThreads();

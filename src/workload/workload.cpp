@@ -137,14 +137,8 @@ BlockRun::fromRlp(const Bytes &encoded)
 }
 
 Generator::Generator(std::uint64_t seed, int num_users, int threads)
-    : rng_(seed)
+    : rng_(seed), pool_(support::ThreadPool::forThreads(threads))
 {
-    unsigned resolved = threads == 0
-                            ? support::ThreadPool::defaultThreads()
-                            : unsigned(std::max(threads, 1));
-    if (resolved > 1)
-        pool_ = std::make_unique<support::ThreadPool>(resolved);
-
     for (int i = 0; i < num_users; ++i) {
         users_.push_back(contracts::userAddress(i));
         genesis_.setBalance(users_.back(),

@@ -164,9 +164,9 @@ class Generator
 {
   public:
     /**
-     * @param threads host threads for the consensus stage: 1 (default)
-     *        executes sequentially, 0 resolves to
-     *        support::ThreadPool::defaultThreads(), >1 pre-executes
+     * @param threads host threads for the consensus stage, resolved by
+     *        support::ThreadPool::resolveThreads(): 1 (default)
+     *        executes sequentially, >1 pre-executes
      *        transactions on a work-stealing pool and commits them
      *        in program order (DESIGN.md §9). Generated blocks are
      *        bit-identical at every value.

@@ -43,19 +43,24 @@ class AuditorTest : public ::testing::Test
         return order;
     }
 
-    /** A recovered engine run from genesis (keeps a final state). */
+    /**
+     * A recovered run from genesis (keeps a final state) on a fresh
+     * processor; redundancyOpt keeps MtpuConfig's default context
+     * reuse and DB-line retention.
+     */
     sched::EngineStats
     engineRun(const workload::BlockRun &b,
               const fault::FaultPlan *plan = nullptr)
     {
         arch::MtpuConfig cfg;
         cfg.numPus = 4;
-        sched::SpatioTemporalEngine engine(cfg);
-        sched::RecoveryOptions rec;
-        rec.validateConflicts = true;
-        rec.plan = plan;
-        rec.genesis = &gen.genesis();
-        return engine.run(b, {}, rec);
+        core::MtpuProcessor proc(cfg);
+        core::RunOptions run;
+        run.redundancyOpt = true;
+        run.recovery.validateConflicts = true;
+        run.recovery.plan = plan;
+        run.recovery.genesis = &gen.genesis();
+        return proc.execute(b, run);
     }
 
     /** First successful, state-writing tx with a long enough trace. */

@@ -184,17 +184,20 @@ TEST_F(RecoveryTest, PuKillIsRecovered)
     auto b = block(48, 0.4);
     arch::MtpuConfig cfg;
     cfg.numPus = 4;
-    sched::SpatioTemporalEngine engine(cfg);
+    core::MtpuProcessor proc(cfg);
 
     fault::FaultPlan plan;
     plan.puFaults.push_back({1, 50, /*kill=*/true, 0});
 
-    sched::RecoveryOptions rec;
-    rec.validateConflicts = true;
-    rec.plan = &plan;
+    // redundancyOpt keeps MtpuConfig's default context reuse and
+    // DB-line retention.
+    core::RunOptions run;
+    run.redundancyOpt = true;
+    run.recovery.validateConflicts = true;
+    run.recovery.plan = &plan;
     auto genesis = gen.genesis();
-    rec.genesis = &genesis;
-    auto stats = engine.run(b, {}, rec);
+    run.recovery.genesis = &genesis;
+    auto stats = proc.execute(b, run);
 
     EXPECT_FALSE(stats.watchdogFired);
     EXPECT_GE(stats.puFaultAborts, 1u);

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "evm/speculative.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sched/engine.hpp"
@@ -39,10 +40,20 @@ TEST(DifferentialMetrics, TraceReconcilesWithEngineStats)
     obs::Tracer tracer;
     engine.setTracer(&tracer);
 
+    // The engine holds no functional state: this test supplies the
+    // commit step that core::MtpuProcessor would, over its own copy of
+    // genesis, so the run still commits every transaction.
+    evm::WorldState live = gen.genesis();
+    evm::BlockCommitter committer(live, block.header, block.transactions(),
+                                  evm::SpecOptions{});
+    auto commit = [&](int tx) {
+        evm::CommittedTx c = committer.commit(std::size_t(tx));
+        return sched::CommitOutcome{!c.receipt.success, c.replayed()};
+    };
+
     sched::RecoveryOptions rec;
     rec.validateConflicts = true;
-    rec.genesis = &gen.genesis();
-    sched::EngineStats stats = engine.run(block, {}, rec);
+    sched::EngineStats stats = engine.run(block, {}, rec, commit);
     obs::Snapshot snap = reg.snapshot();
     reg.enable(false);
 

@@ -17,9 +17,9 @@
 #include <sstream>
 #include <string>
 
+#include "core/mtpu.hpp"
 #include "fault/injector.hpp"
 #include "obs/tracer.hpp"
-#include "sched/engine.hpp"
 #include "workload/workload.hpp"
 #include "test_util.hpp"
 
@@ -40,7 +40,22 @@ mixedParams(int txs, double dep)
     return p;
 }
 
-/** Trace the fixed-seed block on a fresh engine at @p threads. */
+/**
+ * Recovered run options with functional state from @p genesis.
+ * redundancyOpt keeps MtpuConfig's default context reuse and DB-line
+ * retention, the configuration the golden was pinned with.
+ */
+core::RunOptions
+functionalRun(const evm::WorldState &genesis)
+{
+    core::RunOptions run;
+    run.redundancyOpt = true;
+    run.recovery.validateConflicts = true;
+    run.recovery.genesis = &genesis;
+    return run;
+}
+
+/** Trace the fixed-seed block on a fresh processor at @p threads. */
 obs::Tracer
 traceFixedBlock(int threads)
 {
@@ -49,15 +64,13 @@ traceFixedBlock(int threads)
 
     arch::MtpuConfig cfg;
     cfg.threads = threads;
-    sched::SpatioTemporalEngine engine(cfg);
+    core::MtpuProcessor proc(cfg);
 
     obs::Tracer tracer;
-    engine.setTracer(&tracer);
+    proc.setTracer(&tracer);
 
-    sched::RecoveryOptions rec;
-    rec.validateConflicts = true;
-    rec.genesis = &gen.genesis();
-    sched::EngineStats stats = engine.run(block, {}, rec);
+    sched::EngineStats stats =
+        proc.execute(block, functionalRun(gen.genesis()));
     EXPECT_FALSE(stats.watchdogFired);
     EXPECT_EQ(tracer.dropped(), 0u);
     return tracer;
@@ -75,7 +88,7 @@ TEST(GoldenTrace, ByteIdenticalAcrossRunsAndHostThreadCounts)
     const std::string canonical = ref.canonical();
     ASSERT_FALSE(canonical.empty());
 
-    // Same command, fresh engine: byte-identical.
+    // Same command, fresh processor: byte-identical.
     EXPECT_EQ(traceFixedBlock(1).canonical(), canonical);
 
     // Any host thread count: byte-identical, down to the Chrome export.
@@ -132,14 +145,12 @@ TEST(GoldenTrace, FaultedTraceIdenticalAcrossHostThreadCounts)
     auto traceOnce = [&](int threads) {
         arch::MtpuConfig cfg;
         cfg.threads = threads;
-        sched::SpatioTemporalEngine engine(cfg);
+        core::MtpuProcessor proc(cfg);
         obs::Tracer tracer;
-        engine.setTracer(&tracer);
-        sched::RecoveryOptions rec;
-        rec.validateConflicts = true;
-        rec.genesis = &gen.genesis();
-        rec.plan = &plan;
-        engine.run(degraded, {}, rec);
+        proc.setTracer(&tracer);
+        core::RunOptions run = functionalRun(gen.genesis());
+        run.recovery.plan = &plan;
+        proc.execute(degraded, run);
         EXPECT_EQ(tracer.dropped(), 0u);
         return tracer.canonical();
     };

@@ -1,10 +1,10 @@
 /**
  * @file
  * Determinism contract of the host-parallel backend (DESIGN.md §9):
- * for any thread count, the two-phase engine and the parallel
- * consensus stage must produce BIT-IDENTICAL results — completion
- * orders, state digests, engine statistics, audit verdicts and block
- * serializations. These tests pin thread counts explicitly (1, 2, 4,
+ * for any thread count, the processor's committed engine runs and
+ * the parallel consensus stage must produce BIT-IDENTICAL results —
+ * completion orders, state digests, engine statistics, audit verdicts
+ * and block serializations. These tests pin thread counts explicitly (1, 2, 4,
  * 8) so the pool is exercised even on single-core CI machines.
  */
 
@@ -13,10 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "core/mtpu.hpp"
 #include "fault/auditor.hpp"
 #include "fault/injector.hpp"
 #include "obs/tracer.hpp"
-#include "sched/engine.hpp"
+#include "workload/packs.hpp"
 #include "workload/workload.hpp"
 
 namespace mtpu {
@@ -35,6 +36,21 @@ mixedParams(int txs, double dep)
     p.depRatio = dep;
     p.erc20Share = -1.0; // natural TOP8 mix
     return p;
+}
+
+/**
+ * Recovered run options with functional state from @p genesis.
+ * redundancyOpt keeps MtpuConfig's default context reuse and DB-line
+ * retention.
+ */
+core::RunOptions
+functionalRun(const evm::WorldState &genesis)
+{
+    core::RunOptions run;
+    run.redundancyOpt = true;
+    run.recovery.validateConflicts = true;
+    run.recovery.genesis = &genesis;
+    return run;
 }
 
 /** Every observable field two engine runs must agree on. */
@@ -97,15 +113,11 @@ runSequence(const std::vector<BlockRun> &blocks,
 {
     arch::MtpuConfig cfg;
     cfg.threads = threads;
-    sched::SpatioTemporalEngine engine(cfg);
+    core::MtpuProcessor proc(cfg);
 
     std::vector<EngineStats> out;
-    for (const BlockRun &block : blocks) {
-        sched::RecoveryOptions rec;
-        rec.validateConflicts = true;
-        rec.genesis = &genesis;
-        out.push_back(engine.run(block, {}, rec));
-    }
+    for (const BlockRun &block : blocks)
+        out.push_back(proc.execute(block, functionalRun(genesis)));
     return out;
 }
 
@@ -140,15 +152,13 @@ runFaultedSequence(const std::vector<BlockRun> &blocks,
 {
     arch::MtpuConfig cfg;
     cfg.threads = threads;
-    sched::SpatioTemporalEngine engine(cfg);
+    core::MtpuProcessor proc(cfg);
 
     std::vector<EngineStats> out;
     for (std::size_t b = 0; b < blocks.size(); ++b) {
-        sched::RecoveryOptions rec;
-        rec.validateConflicts = true;
-        rec.genesis = &genesis;
-        rec.plan = &plans[b];
-        out.push_back(engine.run(blocks[b], {}, rec));
+        core::RunOptions run = functionalRun(genesis);
+        run.recovery.plan = &plans[b];
+        out.push_back(proc.execute(blocks[b], run));
 
         fault::Auditor auditor(genesis, blocks[b], &plans[b]);
         audits->push_back(auditor.audit(out.back()).ok());
@@ -213,15 +223,11 @@ TEST(Determinism, TraceIdenticalAcrossThreads)
     auto traceSequence = [&](int threads) {
         arch::MtpuConfig cfg;
         cfg.threads = threads;
-        sched::SpatioTemporalEngine engine(cfg);
+        core::MtpuProcessor proc(cfg);
         obs::Tracer tracer;
-        engine.setTracer(&tracer);
-        for (const BlockRun &block : blocks) {
-            sched::RecoveryOptions rec;
-            rec.validateConflicts = true;
-            rec.genesis = &gen.genesis();
-            engine.run(block, {}, rec);
-        }
+        proc.setTracer(&tracer);
+        for (const BlockRun &block : blocks)
+            proc.execute(block, functionalRun(gen.genesis()));
         EXPECT_EQ(tracer.dropped(), 0u);
         return std::make_pair(tracer.canonical(), tracer.chromeJson());
     };
@@ -256,14 +262,12 @@ TEST(Determinism, FaultedTraceIdenticalAcrossThreads)
     auto traceOnce = [&](int threads) {
         arch::MtpuConfig cfg;
         cfg.threads = threads;
-        sched::SpatioTemporalEngine engine(cfg);
+        core::MtpuProcessor proc(cfg);
         obs::Tracer tracer;
-        engine.setTracer(&tracer);
-        sched::RecoveryOptions rec;
-        rec.validateConflicts = true;
-        rec.genesis = &gen.genesis();
-        rec.plan = &plan;
-        engine.run(degraded, {}, rec);
+        proc.setTracer(&tracer);
+        core::RunOptions run = functionalRun(gen.genesis());
+        run.recovery.plan = &plan;
+        proc.execute(degraded, run);
         return tracer.canonical();
     };
 
@@ -272,6 +276,94 @@ TEST(Determinism, FaultedTraceIdenticalAcrossThreads)
     for (int threads : {2, 8})
         EXPECT_EQ(traceOnce(threads), ref)
             << "faulted trace diverged at " << threads << " threads";
+}
+
+/**
+ * The schedule does not depend on the commit step (DESIGN.md §8): a
+ * pack block under a seeded plan with injected aborts, dropped edges
+ * and a PU stall runs once cycle-only and once through the processor
+ * with genesis. The engine's event loop decides every dispatch from
+ * the DAG and the access sets, so both runs report the same schedule
+ * and the same deterministic trace; only TxCommit's failed flag may
+ * differ, because the cycle-only run executes no receipt.
+ */
+TEST(Determinism, ScheduleIndependentOfTheCommitStep)
+{
+    Generator gen(31, 256, /*threads=*/1);
+    workload::PackParams pp;
+    pp.txCount = 48;
+    BlockRun block = workload::buildPackBlock(gen, workload::Pack::FlashLoan, pp);
+
+    fault::FaultInjector inj(42);
+    fault::InjectionParams params;
+    params.dropEdgeRate = 0.5;
+    params.abortRate = 0.15;
+    params.numPus = 4;
+    params.puFaultCount = 1;
+    params.killPu = false; // a stall
+    fault::FaultPlan plan = inj.plan(block, params);
+    BlockRun degraded = fault::FaultInjector::degrade(block, plan);
+
+    struct Run
+    {
+        EngineStats stats;
+        std::vector<obs::TraceRecord> trace;
+    };
+    auto runOnce = [&](const evm::WorldState *genesis) {
+        arch::MtpuConfig cfg;
+        cfg.threads = 2;
+        core::MtpuProcessor proc(cfg);
+        obs::Tracer tracer;
+        proc.setTracer(&tracer);
+        core::RunOptions run = functionalRun(gen.genesis());
+        run.recovery.genesis = genesis;
+        run.recovery.plan = &plan;
+        Run out{proc.execute(degraded, run), tracer.records()};
+        EXPECT_EQ(tracer.dropped(), 0u);
+        return out;
+    };
+    const Run cycle = runOnce(nullptr);
+    const Run committed = runOnce(&gen.genesis());
+
+    ASSERT_FALSE(cycle.stats.watchdogFired);
+    ASSERT_FALSE(committed.stats.watchdogFired);
+    EXPECT_EQ(cycle.stats.finalState, nullptr);
+    ASSERT_NE(committed.stats.finalState, nullptr);
+    EXPECT_EQ(committed.stats.completionOrder, cycle.stats.completionOrder);
+    EXPECT_EQ(committed.stats.makespan, cycle.stats.makespan);
+    EXPECT_EQ(committed.stats.busyCycles, cycle.stats.busyCycles);
+    EXPECT_EQ(committed.stats.conflictAborts, cycle.stats.conflictAborts);
+    EXPECT_EQ(committed.stats.retries, cycle.stats.retries);
+    EXPECT_EQ(committed.stats.stalls, cycle.stats.stalls);
+    EXPECT_EQ(committed.stats.redundantSteers,
+              cycle.stats.redundantSteers);
+
+    // The plan's faults all took effect on this block.
+    EXPECT_GT(cycle.stats.conflictAborts, 0u);
+    EXPECT_GT(committed.stats.failedTxs, 0u);
+    ASSERT_EQ(plan.puFaults.size(), 1u);
+    EXPECT_FALSE(plan.puFaults.front().kill);
+
+    // Same deterministic trace, TxCommit's failed flag aside.
+    auto withoutCommitFlag = [](std::vector<obs::TraceRecord> trace) {
+        for (obs::TraceRecord &r : trace) {
+            if (r.kind == obs::TraceKind::TxCommit)
+                r.a1 = 0;
+        }
+        return trace;
+    };
+    const auto a = withoutCommitFlag(cycle.trace);
+    const auto b = withoutCommitFlag(committed.trace);
+    ASSERT_EQ(a.size(), b.size());
+    bool stalled = false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_TRUE(a[i].ts == b[i].ts && a[i].dur == b[i].dur
+                    && a[i].a0 == b[i].a0 && a[i].a1 == b[i].a1
+                    && a[i].kind == b[i].kind && a[i].lane == b[i].lane)
+            << "trace record " << i << " differs";
+        stalled |= a[i].kind == obs::TraceKind::PuStallFault;
+    }
+    EXPECT_TRUE(stalled) << "the PU stall never fired";
 }
 
 } // namespace

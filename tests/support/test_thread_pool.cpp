@@ -3,8 +3,8 @@
  * Work-stealing ThreadPool tests: exactly-once index coverage, stealing
  * under skewed work, nested-call inlining, exception propagation,
  * shutdown/teardown (run under TSan via the sanitizer tree's
- * `ctest -L parallel`), and the MTPU_THREADS / cap resolution of
- * defaultThreads().
+ * `ctest -L parallel`), the MTPU_THREADS / cap resolution of
+ * defaultThreads(), and the thread-count rule of forThreads().
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -230,6 +231,42 @@ TEST(ThreadPool, DefaultThreadsRespectsEnvAndCap)
 
     if (saved)
         ::setenv("MTPU_THREADS", saved_copy.c_str(), 1);
+}
+
+/** The one thread-count rule: 0, 1, negative and N. */
+TEST(ThreadPool, ForThreadsResolvesEveryCount)
+{
+    const char *saved = std::getenv("MTPU_THREADS");
+    std::string saved_copy = saved ? saved : "";
+
+    // 1 and every negative count mean the serial path: no pool.
+    EXPECT_EQ(ThreadPool::resolveThreads(1), 1u);
+    EXPECT_EQ(ThreadPool::forThreads(1), nullptr);
+    for (int negative : {-1, -4}) {
+        EXPECT_EQ(ThreadPool::resolveThreads(negative), 1u) << negative;
+        EXPECT_EQ(ThreadPool::forThreads(negative), nullptr) << negative;
+    }
+
+    // N > 1 is taken as given.
+    EXPECT_EQ(ThreadPool::resolveThreads(3), 3u);
+    std::unique_ptr<ThreadPool> three = ThreadPool::forThreads(3);
+    ASSERT_NE(three, nullptr);
+    EXPECT_EQ(three->threads(), 3u);
+
+    // 0 resolves to defaultThreads(), which reads MTPU_THREADS.
+    ::setenv("MTPU_THREADS", "2", 1);
+    EXPECT_EQ(ThreadPool::resolveThreads(0), 2u);
+    std::unique_ptr<ThreadPool> two = ThreadPool::forThreads(0);
+    ASSERT_NE(two, nullptr);
+    EXPECT_EQ(two->threads(), 2u);
+    ::setenv("MTPU_THREADS", "1", 1);
+    EXPECT_EQ(ThreadPool::resolveThreads(0), 1u);
+    EXPECT_EQ(ThreadPool::forThreads(0), nullptr);
+
+    if (saved)
+        ::setenv("MTPU_THREADS", saved_copy.c_str(), 1);
+    else
+        ::unsetenv("MTPU_THREADS");
 }
 
 } // namespace

@@ -551,9 +551,7 @@ void
 describeRun(JsonReport &report, const Options &opt,
             const mtpu::arch::MtpuConfig &cfg)
 {
-    using mtpu::support::ThreadPool;
-    unsigned host = opt.threads == 0 ? ThreadPool::defaultThreads()
-                                     : unsigned(opt.threads);
+    unsigned host = mtpu::support::ThreadPool::resolveThreads(opt.threads);
     report.set("tool", jsonQuote("mtpu_sim"));
     report.set("scheme", jsonQuote(opt.scheme));
     report.set("pus", jsonNum(std::uint64_t(cfg.numPus)));
