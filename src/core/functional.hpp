@@ -3,11 +3,11 @@
  * Functional fast-execution pipeline (DESIGN.md §13): the throughput
  * tier of the two-tier executor. Executes whole blocks with
  * speculative fan-out on a thread pool — each transaction runs on the
- * direct-threaded FastInterpreter behind the decoded-program and
- * result-memo caches — then commits in program order via
- * validate-or-re-execute. Receipts, logs and the state digest are
- * bit-identical to sequential reference execution at every thread
- * count.
+ * direct-threaded FastInterpreter over programs from the
+ * decoded-program cache, and no result is reused across blocks or
+ * runs — then commits in program order via validate-or-re-execute.
+ * Receipts, logs and the state digest are bit-identical to sequential
+ * reference execution at every thread count.
  */
 
 #pragma once

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "evm/fast_interp.hpp"
-#include "evm/memo.hpp"
 #include "obs/metrics.hpp"
 #include "support/thread_pool.hpp"
 
@@ -151,30 +150,18 @@ residentFastInterpreter()
     return interp;
 }
 
-/** speculate() with the memo's header key already folded. */
+} // namespace
+
 SpecResult
-speculateKeyed(const WorldState &base, const BlockHeader &header,
-               const Transaction &tx, const SpecOptions &opts,
-               const U256 &headerKey)
+speculate(const WorldState &base, const BlockHeader &header,
+          const Transaction &tx, const SpecOptions &opts)
 {
     SpecResult out;
 
-    // Injected aborts must actually execute — never serve them from
-    // the memo, and never record their (fault-shaped) results.
-    const bool canMemo = opts.memo && !opts.abort;
     // Commutative detection rides the reference tier's tagging; an
     // abort-armed run keeps the exact class (its rolled-back chain
     // would fail the delta cross-check anyway).
     const bool detect = opts.commutative && !opts.abort;
-    U256 key;
-    if (canMemo) {
-        key = MemoCache::txKey(headerKey, base, tx);
-        if (opts.memo->lookup(key, base, header.coinbase, opts.wantTrace,
-                              detect, out)) {
-            MTPU_OBS_COUNT("spec.speculations", 1);
-            return out;
-        }
-    }
 
     WorldState overlay;
     overlay.bindBase(&base);
@@ -235,21 +222,8 @@ speculateKeyed(const WorldState &base, const BlockHeader &header,
         out.readValues.push_back(std::move(rv));
     }
     out.ran = true;
-    if (canMemo)
-        opts.memo->insert(key, opts.wantTrace, detect, out);
     MTPU_OBS_COUNT("spec.speculations", 1);
     return out;
-}
-
-} // namespace
-
-SpecResult
-speculate(const WorldState &base, const BlockHeader &header,
-          const Transaction &tx, const SpecOptions &opts)
-{
-    const bool canMemo = opts.memo && !opts.abort;
-    return speculateKeyed(base, header, tx, opts,
-                          canMemo ? MemoCache::headerKey(header) : U256());
 }
 
 const SpecResult::StorageDelta *
@@ -346,16 +320,13 @@ BlockCommitter::BlockCommitter(WorldState &live, const BlockHeader &header,
 {
     if (!pool || txs_.size() <= 1)
         return;
-    // The fan-out is the memo's only client: one header key per block.
     SpecOptions fanout = opts_;
     fanout.fastTier = true;
-    fanout.memo = &MemoCache::global();
-    const U256 headerKey = MemoCache::headerKey(header_);
     spec_.resize(txs_.size());
     pool->parallelFor(txs_.size(), [&](std::size_t i) {
         SpecOptions o = fanout;
         o.abort = abortFor(i);
-        spec_[i] = speculateKeyed(live_, header_, *txs_[i], o, headerKey);
+        spec_[i] = speculate(live_, header_, *txs_[i], o);
     });
 }
 

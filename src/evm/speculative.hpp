@@ -47,8 +47,6 @@ class ThreadPool;
 
 namespace mtpu::evm {
 
-class MemoCache;
-
 /** Everything captured by one speculative pre-execution. */
 struct SpecResult
 {
@@ -140,25 +138,18 @@ struct SpecOptions
     bool fastTier = false;
 
     /**
-     * Optional result memo: consulted before executing and fed after.
-     * A hit replays the recorded deltas without running any bytecode.
-     * Ignored while an abort is armed (injected faults must execute).
-     */
-    MemoCache *memo = nullptr;
-
-    /**
      * Detect commutative delta chains (DESIGN.md §14). Forces the
-     * reference tier (the detector rides the per-opcode loop) and
-     * makes memo lookups require commutative-annotated entries, so the
-     * captured metadata is deterministic regardless of cache history.
+     * reference tier (the detector rides the per-opcode loop).
      */
     bool commutative = false;
 };
 
 /**
  * Pre-execute @p tx on a fresh overlay of @p base. Deterministic: the
- * result depends only on (base, header, tx, opts.abort), never on
- * which thread runs it or what else runs concurrently.
+ * result depends only on (base, header, tx, opts), never on which
+ * thread runs it, what else runs concurrently or what ran before.
+ * No result is looked up or recorded outside the returned one, so
+ * concurrent calls share nothing but the fast tier's DecodeCache.
  */
 SpecResult speculate(const WorldState &base, const BlockHeader &header,
                      const Transaction &tx, const SpecOptions &opts);
@@ -189,8 +180,7 @@ SpecVerdict specCheckLive(const SpecResult &r, const WorldState &live,
  * The write-side half of specCheckLive(): true when every location @p r
  * wrote still carries the pre-value the recorded run observed in
  * @p live — except commutative deltas, which pass whenever their range
- * constraints hold. Shared with the memo cache's lookup-time
- * validation.
+ * constraints hold.
  */
 bool specWritesMatch(const SpecResult &r, const WorldState &live,
                      const Address &coinbase);
@@ -241,14 +231,14 @@ struct CommittedTx
  * replays.
  *
  * With a pool and more than one transaction, construction speculates
- * every transaction against @p live on the pool (fast tier, behind the
- * process memo cache): @p live is only read until the first commit(),
- * so no frozen copy of it is needed. commit(i) then replays the
- * speculation of transaction i if specCheckLive() passes, and
- * re-executes it on @p live otherwise: on the tier SpecOptions::
- * fastTier picks, or on the reference tier when an abort is armed or
- * in trace mode (there with access tracking and the commutative
- * detector). State, receipts, traces and access sets are bit-identical
+ * every transaction against @p live on the pool (fast tier, each
+ * speculation executed afresh; no result is cached or reused):
+ * @p live is only read until the first commit(), so no frozen copy of
+ * it is needed. commit(i) then replays the speculation of transaction
+ * i if specCheckLive() passes, and re-executes it on @p live
+ * otherwise: on the tier SpecOptions::fastTier picks, or on the
+ * reference tier when an abort is armed or in trace mode (there with
+ * access tracking and the commutative detector). State, receipts, traces and access sets are bit-identical
  * to sequential execution in commit order, whatever the pool or tier.
  * The caller picks the order; each index commits at most once.
  */

@@ -274,21 +274,34 @@ TEST_F(RecoveryTest, WatchdogCycleBudgetFires)
               sched::WatchdogReport::Reason::CycleBudget);
 }
 
+/**
+ * Commit-time conflict validation is off in the default options. On a
+ * fault-free block with the consensus stage's exact DAG it has nothing
+ * to roll back, so arming it leaves the schedule of the default run.
+ */
 TEST_F(RecoveryTest, DefaultRecoveryOptionsMatchPlainRun)
 {
     auto b = block(48, 0.5);
+    std::size_t edges = 0;
+    for (const auto &rec : b.txs)
+        edges += rec.deps.size();
+    ASSERT_GT(edges, 0u) << "no dependency for validation to check";
+
     arch::MtpuConfig cfg;
     cfg.numPus = 4;
-
+    ASSERT_FALSE(sched::RecoveryOptions{}.validateConflicts);
     sched::SpatioTemporalEngine plain(cfg);
     auto a = plain.run(b);
-    sched::SpatioTemporalEngine via_options(cfg);
-    auto c = via_options.run(b, {}, sched::RecoveryOptions{});
+    sched::RecoveryOptions validating;
+    validating.validateConflicts = true;
+    sched::SpatioTemporalEngine checked(cfg);
+    auto c = checked.run(b, {}, validating);
 
-    EXPECT_EQ(a.makespan, c.makespan);
+    EXPECT_EQ(a.completionOrder.size(), b.txs.size());
     EXPECT_EQ(a.completionOrder, c.completionOrder);
+    EXPECT_EQ(a.makespan, c.makespan);
     EXPECT_EQ(a.busyCycles, c.busyCycles);
-    EXPECT_EQ(a.conflictAborts, 0u);
+    EXPECT_EQ(c.conflictAborts, 0u);
     EXPECT_EQ(c.retries, 0u);
     EXPECT_FALSE(c.watchdogFired);
 }

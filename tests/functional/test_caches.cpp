@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests of the functional tier's two cache levels — the decoded-
- * program LRU (evm/decode.hpp) and the execution-result memo
- * (evm/memo.hpp) — plus the journaled codehash caching on Account:
- * hit/miss/evict/invalid behavior, observability counters, and the
- * invalidation rules (code mutation, conflicting state writes).
+ * Unit tests of the functional tier's decoded-program LRU
+ * (evm/decode.hpp) and the journaled codehash caching on Account:
+ * hit/miss/evict behavior, observability counters, and the
+ * invalidation rule on code mutation. Also checks that a fast-tier
+ * speculation captures what a reference-tier one does.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "contracts/contracts.hpp"
 #include "evm/decode.hpp"
-#include "evm/memo.hpp"
 #include "evm/speculative.hpp"
 #include "obs/metrics.hpp"
 #include "support/keccak.hpp"
@@ -174,17 +173,16 @@ TEST(CodeHashJournal, MutationAndRevertKeepHashConsistent)
     EXPECT_EQ(state.code(addr), codeA);
 }
 
-struct MemoFixture : ::testing::Test
+struct SpeculateFixture : ::testing::Test
 {
     workload::Generator gen{42, 64};
     BlockHeader header;
 
-    MemoFixture()
+    SpeculateFixture()
     {
         header.height = 1;
         header.timestamp = 1700000000;
         header.coinbase = U256(0xc01bba5e);
-        obs::Registry::global().enable(true);
     }
 
     Transaction
@@ -198,137 +196,7 @@ struct MemoFixture : ::testing::Test
     }
 };
 
-TEST_F(MemoFixture, HitReplaysBitIdenticalResult)
-{
-    MemoCache memo(64);
-    Transaction tx = transfer(0, 1, 5);
-
-    SpecOptions opts;
-    opts.memo = &memo;
-    std::uint64_t miss0 = counterValue("evm.memo.miss");
-    SpecResult first = speculate(gen.genesis(), header, tx, opts);
-    EXPECT_COUNTER("evm.memo.miss", miss0 + 1);
-    EXPECT_EQ(memo.size(), 1u);
-
-    std::uint64_t hit0 = counterValue("evm.memo.hit");
-    SpecResult second = speculate(gen.genesis(), header, tx, opts);
-    EXPECT_COUNTER("evm.memo.hit", hit0 + 1);
-
-    EXPECT_EQ(second.receipt.toRlp(), first.receipt.toRlp());
-    ASSERT_EQ(second.storage.size(), first.storage.size());
-    for (std::size_t i = 0; i < first.storage.size(); ++i) {
-        EXPECT_EQ(second.storage[i].addr, first.storage[i].addr);
-        EXPECT_EQ(second.storage[i].slot, first.storage[i].slot);
-        EXPECT_EQ(second.storage[i].final, first.storage[i].final);
-    }
-
-    // Applying the memoized result matches a fresh execution.
-    WorldState viaMemo = gen.genesis();
-    ASSERT_EQ(specCheckLive(second, viaMemo, header.coinbase),
-              SpecVerdict::Valid);
-    specApply(second, viaMemo, header.coinbase);
-    viaMemo.commit();
-
-    WorldState viaExec = gen.genesis();
-    Interpreter interp;
-    interp.applyTransaction(viaExec, header, tx);
-    EXPECT_EQ(viaMemo.digest(), viaExec.digest());
-}
-
-TEST_F(MemoFixture, ConflictingWriteInvalidatesEntry)
-{
-    MemoCache memo(64);
-    Transaction tx = transfer(0, 1, 5);
-
-    SpecOptions opts;
-    opts.memo = &memo;
-    speculate(gen.genesis(), header, tx, opts);
-
-    // Mutate a storage slot the recorded run read (the sender's token
-    // balance changes when user 0 sends again from a different state):
-    // build a modified base where user 0 already spent some tokens.
-    WorldState modified = gen.genesis();
-    Interpreter interp;
-    interp.applyTransaction(modified, header, transfer(0, 2, 9));
-    modified.commit();
-
-    std::uint64_t invalid0 = counterValue("evm.memo.invalid");
-    SpecResult r = speculate(modified, header, tx, opts);
-    // Same static key shape but different base: either the key differs
-    // (nonce progression is not in the key, so it does not) or the
-    // observation check rejects the entry — it must NOT be served
-    // stale. The fresh execution must match a direct one.
-    EXPECT_COUNTER("evm.memo.invalid", invalid0 + 1);
-
-    SpecResult direct = speculate(modified, header, tx, SpecOptions{});
-    EXPECT_EQ(r.receipt.toRlp(), direct.receipt.toRlp());
-}
-
-TEST_F(MemoFixture, TracelessEntryNeverServesTraceRequest)
-{
-    MemoCache memo(64);
-    Transaction tx = transfer(0, 1, 5);
-
-    SpecOptions noTrace;
-    noTrace.memo = &memo;
-    speculate(gen.genesis(), header, tx, noTrace);
-
-    SpecOptions wantTrace;
-    wantTrace.memo = &memo;
-    wantTrace.wantTrace = true;
-    SpecResult r = speculate(gen.genesis(), header, tx, wantTrace);
-    EXPECT_FALSE(r.trace.events.empty());
-
-    // The trace-carrying entry upgraded the bucket: a second traced
-    // lookup now hits and returns the recorded trace.
-    std::uint64_t hit0 = counterValue("evm.memo.hit");
-    SpecResult r2 = speculate(gen.genesis(), header, tx, wantTrace);
-    EXPECT_COUNTER("evm.memo.hit", hit0 + 1);
-    EXPECT_EQ(r2.trace.events.size(), r.trace.events.size());
-    EXPECT_EQ(r2.receipt.toRlp(), r.receipt.toRlp());
-}
-
-TEST_F(MemoFixture, AbortInjectionBypassesMemo)
-{
-    MemoCache memo(64);
-    Transaction tx = transfer(0, 1, 5);
-
-    SpecOptions opts;
-    opts.memo = &memo;
-    speculate(gen.genesis(), header, tx, opts); // populate
-
-    AbortInjection inj;
-    inj.afterInstructions = 5;
-    inj.outOfGas = true;
-    SpecOptions withAbort = opts;
-    withAbort.abort = &inj;
-    SpecResult aborted = speculate(gen.genesis(), header, tx, withAbort);
-    EXPECT_FALSE(aborted.receipt.success); // really executed the fault
-
-    // And the fault result was not recorded: a clean lookup still
-    // returns the successful receipt.
-    SpecResult clean = speculate(gen.genesis(), header, tx, opts);
-    EXPECT_TRUE(clean.receipt.success);
-}
-
-TEST_F(MemoFixture, HeaderKeySeparatesBlocks)
-{
-    MemoCache memo(64);
-    Transaction tx = transfer(0, 1, 5);
-
-    SpecOptions opts;
-    opts.memo = &memo;
-    speculate(gen.genesis(), header, tx, opts);
-
-    BlockHeader other = header;
-    other.height = 2;
-    std::uint64_t miss0 = counterValue("evm.memo.miss");
-    speculate(gen.genesis(), other, tx, opts);
-    EXPECT_COUNTER("evm.memo.miss", miss0 + 1);
-    EXPECT_EQ(memo.size(), 2u);
-}
-
-TEST_F(MemoFixture, FastTierSpeculationMatchesCycleTier)
+TEST_F(SpeculateFixture, FastTierSpeculationMatchesCycleTier)
 {
     Transaction tx = transfer(0, 1, 5);
     SpecResult cycle = speculate(gen.genesis(), header, tx, SpecOptions{});

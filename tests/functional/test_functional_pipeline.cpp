@@ -2,9 +2,10 @@
  * @file
  * FunctionalPipeline end-to-end: whole generated chains executed at
  * host thread counts 1/2/8 must commit receipts and state
- * bit-identically to the sequential reference interpreter chain, with
- * the memo cache cold and warm, across dependency mixes. The audited
- * cycle tier, chained over the same blocks, must reach the same state.
+ * bit-identically to the sequential reference interpreter chain,
+ * across dependency mixes. The audited cycle tier, chained over the
+ * same blocks, must reach the same state, and its commit verdicts must
+ * not depend on what else ran earlier in the process.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,7 @@
 #include "core/functional.hpp"
 #include "core/mtpu.hpp"
 #include "evm/interpreter.hpp"
-#include "evm/memo.hpp"
+#include "workload/packs.hpp"
 #include "workload/workload.hpp"
 
 namespace mtpu {
@@ -94,13 +95,7 @@ makeChain(workload::Generator &gen, int blocks, double dep_ratio)
     return out;
 }
 
-class FunctionalPipelineTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { evm::MemoCache::global().clear(); }
-};
-
-TEST_F(FunctionalPipelineTest, ThreadCountsCommitBitIdentically)
+TEST(FunctionalPipelineTest, ThreadCountsCommitBitIdentically)
 {
     workload::Generator gen(7, 128, 1);
     auto blocks = makeChain(gen, 3, 0.3);
@@ -110,7 +105,6 @@ TEST_F(FunctionalPipelineTest, ThreadCountsCommitBitIdentically)
     EXPECT_EQ(cycleChainDigest(blocks, genesis), ref.digest)
         << "audited cycle tier diverged";
     for (int threads : {1, 2, 8}) {
-        evm::MemoCache::global().clear();
         ChainResult got = functionalChain(blocks, genesis, threads);
         EXPECT_EQ(got.receiptRlp, ref.receiptRlp)
             << "receipts diverged at threads=" << threads;
@@ -119,37 +113,20 @@ TEST_F(FunctionalPipelineTest, ThreadCountsCommitBitIdentically)
     }
 }
 
-TEST_F(FunctionalPipelineTest, WarmMemoCacheStaysBitIdentical)
-{
-    workload::Generator gen(11, 128, 1);
-    auto blocks = makeChain(gen, 2, 0.5);
-    const evm::WorldState genesis = gen.genesis();
-
-    ChainResult ref = referenceChain(blocks, genesis);
-    // First pass populates the memo; the second replays from it.
-    ChainResult cold = functionalChain(blocks, genesis, 2);
-    ChainResult warm = functionalChain(blocks, genesis, 2);
-    EXPECT_EQ(cold.receiptRlp, ref.receiptRlp);
-    EXPECT_EQ(cold.digest, ref.digest);
-    EXPECT_EQ(warm.receiptRlp, ref.receiptRlp);
-    EXPECT_EQ(warm.digest, ref.digest);
-}
-
-TEST_F(FunctionalPipelineTest, DependencyMixesStayBitIdentical)
+TEST(FunctionalPipelineTest, DependencyMixesStayBitIdentical)
 {
     for (double dep : {0.0, 0.35, 0.8}) {
         workload::Generator gen(23, 96, 1);
         auto blocks = makeChain(gen, 2, dep);
         const evm::WorldState genesis = gen.genesis();
         ChainResult ref = referenceChain(blocks, genesis);
-        evm::MemoCache::global().clear();
         ChainResult got = functionalChain(blocks, genesis, 8);
         EXPECT_EQ(got.receiptRlp, ref.receiptRlp) << "dep=" << dep;
         EXPECT_EQ(got.digest, ref.digest) << "dep=" << dep;
     }
 }
 
-TEST_F(FunctionalPipelineTest, HighContentionReexecutesAndMatches)
+TEST(FunctionalPipelineTest, HighContentionReexecutesAndMatches)
 {
     // Single hot contract, fully dependent transactions: most
     // speculations must fail validation and re-execute, and the
@@ -167,6 +144,51 @@ TEST_F(FunctionalPipelineTest, HighContentionReexecutesAndMatches)
     ChainResult got = functionalChain(blocks, genesis, 8);
     EXPECT_EQ(got.receiptRlp, ref.receiptRlp);
     EXPECT_EQ(got.digest, ref.digest);
+}
+
+/**
+ * The processor's commit step speculates and validates each block
+ * afresh, so its verdicts are a function of the block and the
+ * pre-state alone. A commutative FunctionalPipeline run on the same
+ * block in between (its speculations carry commutative deltas that an
+ * exact-validation committer must never replay) leaves them unchanged.
+ */
+TEST(FunctionalPipelineTest, CommitVerdictsIndependentOfEarlierRuns)
+{
+    // A serial generator: its consensus stage (commutative detection
+    // always armed) speculates nothing, so only the runs below do.
+    workload::Generator gen(5, 256, 1);
+    gen.setCommutativeDag(true);
+    workload::PackParams params;
+    params.txCount = 64;
+    const workload::BlockRun block =
+        workload::buildPackBlock(gen, workload::Pack::HotToken, params);
+    const evm::WorldState genesis = gen.genesis();
+
+    arch::MtpuConfig cfg;
+    cfg.threads = 2;
+    cfg.commutative = false;
+    core::MtpuProcessor proc(cfg);
+    core::RunOptions run;
+    run.scheme = core::Scheme::SpatioTemporal;
+    run.recovery.genesis = &genesis;
+
+    const sched::EngineStats first = proc.execute(block, run);
+    core::FunctionalPipeline pipe(genesis, 2);
+    pipe.setCommutative(true);
+    pipe.executeBlock(block);
+    const sched::EngineStats second = proc.execute(block, run);
+
+    ASSERT_TRUE(first.finalState && second.finalState);
+    EXPECT_EQ(first.finalState->digest(), second.finalState->digest());
+    EXPECT_EQ(first.specReplayed, second.specReplayed);
+    EXPECT_EQ(first.reexecValidationMiss, second.reexecValidationMiss);
+    EXPECT_EQ(first.reexecBoundsMiss, second.reexecBoundsMiss);
+    // Exact validation on the hot token: some speculations miss.
+    EXPECT_GT(first.reexecValidationMiss, 0u);
+    EXPECT_EQ(first.specReplayed + first.reexecValidationMiss
+                  + first.reexecBoundsMiss,
+              block.txs.size());
 }
 
 } // namespace

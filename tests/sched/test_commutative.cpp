@@ -17,7 +17,6 @@
 #include "contracts/contracts.hpp"
 #include "core/functional.hpp"
 #include "core/mtpu.hpp"
-#include "evm/memo.hpp"
 #include "fault/injector.hpp"
 #include "workload/packs.hpp"
 
@@ -192,7 +191,7 @@ TEST(CommutativeAuditTest, FaultedElidedBlocksAuditClean)
 /**
  * The re-execution cut on the hot-ERC20 pack (Garamvolgyi et al. 2022,
  * "Taming Application-Inherent Conflicts"): four chained 64-tx blocks
- * on the 2-thread FunctionalPipeline, each variant behind a cold memo.
+ * on the 2-thread FunctionalPipeline, each variant on a fresh pipeline.
  * Exact validation re-executes every transaction after a block's first;
  * commutative delta commits must re-execute at least 5x fewer. When the
  * commutative variant re-executes nothing the cut is the exact count.
@@ -209,7 +208,6 @@ TEST(CommutativePipelineTest, HotTokenReexecutionsCutAtLeastFiveTimes)
     std::uint64_t reexecuted[2] = {0, 0};
     U256 digest[2];
     for (bool commutative : {false, true}) {
-        evm::MemoCache::global().clear();
         core::FunctionalPipeline pipe(gen.genesis(), /*threads=*/2);
         pipe.setCommutative(commutative);
         for (const workload::BlockRun &block : blocks)

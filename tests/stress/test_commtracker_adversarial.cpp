@@ -26,7 +26,6 @@
 #include "contracts/contracts.hpp"
 #include "core/functional.hpp"
 #include "evm/interpreter.hpp"
-#include "evm/memo.hpp"
 #include "evm/speculative.hpp"
 #include "workload/packs.hpp"
 
@@ -205,7 +204,6 @@ TEST_F(TrackerFixture, MintStormBoundsMissFallbackAcrossThreads)
     U256 want;
     std::vector<evm::Receipt> want_receipts;
     for (int threads : {1, 2, 8}) {
-        evm::MemoCache::global().clear();
         core::FunctionalPipeline pipe(saturated, threads);
         pipe.setCommutative(true);
         core::FunctionalBlockResult res = pipe.executeBlock(block);

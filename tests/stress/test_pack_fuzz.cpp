@@ -22,7 +22,6 @@
 
 #include "core/functional.hpp"
 #include "core/mtpu.hpp"
-#include "evm/memo.hpp"
 #include "fault/injector.hpp"
 #include "support/rng.hpp"
 #include "workload/packs.hpp"
@@ -84,7 +83,6 @@ TEST(PackFuzz, RandomCompositionsConvergeAcrossBackends)
             fault::FaultInjector::degrade(block, plan);
 
         // Sequential reference + consensus receipt cross-check.
-        evm::MemoCache::global().clear();
         core::FunctionalPipeline ref(genesis, 1);
         core::FunctionalBlockResult ref_res = ref.executeBlock(block);
         const U256 want = ref.state().digest();
@@ -96,7 +94,6 @@ TEST(PackFuzz, RandomCompositionsConvergeAcrossBackends)
         }
 
         // Functional, threads 2, commutative on.
-        evm::MemoCache::global().clear();
         core::FunctionalPipeline pipe(genesis, kThreads);
         pipe.setCommutative(true);
         core::FunctionalBlockResult res = pipe.executeBlock(block);

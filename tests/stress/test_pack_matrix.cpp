@@ -5,8 +5,8 @@
  *
  *   1. cycle-exact engine (audited, commit-time conflict validation),
  *   2. cycle engine with commutative delta commits,
- *   3. functional pipeline (speculative fan-out, cold memo),
- *   4. functional pipeline against a warm memo cache,
+ *   3. functional pipeline (speculative fan-out, exact commits),
+ *   4. functional pipeline with commutative delta commits,
  *
  * gating on bit-identical state digests against the sequential
  * reference, clean serializability audits, and receipt equality
@@ -31,7 +31,6 @@
 #include "core/functional.hpp"
 #include "core/mtpu.hpp"
 #include "evm/commutative.hpp"
-#include "evm/memo.hpp"
 #include "fault/auditor.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
@@ -163,7 +162,6 @@ TEST_P(PackMatrix, AllBackendsBitIdenticalUnderFaults)
     // Sequential reference: functional pipeline, one thread, from
     // genesis. Its receipts must equal the consensus-stage ground
     // truth shipped in the block.
-    evm::MemoCache::global().clear();
     core::FunctionalPipeline ref(genesis, 1);
     core::FunctionalBlockResult ref_res = ref.executeBlock(block);
     const U256 want = ref.state().digest();
@@ -184,15 +182,11 @@ TEST_P(PackMatrix, AllBackendsBitIdenticalUnderFaults)
     core::FunctionalBlockResult ref_next = ref.executeBlock(next);
     const U256 want_chain = ref.state().digest();
 
-    // Functional tier: cold-memo exact, cold-memo commutative, then a
-    // warm-memo replay over the cache the cold runs just filled, each
-    // over the block and then over the chain. The fault matrix below
-    // is a cycle-engine concern — the functional tier has no DAG or
-    // PUs to degrade.
-    auto runFunctional = [&](bool commutative, bool cold,
-                             const std::string &variant) {
-        if (cold)
-            evm::MemoCache::global().clear();
+    // Functional tier: exact, then commutative, each over the block
+    // and then over the chain. The fault matrix below is a
+    // cycle-engine concern — the functional tier has no DAG or PUs to
+    // degrade.
+    auto runFunctional = [&](bool commutative, const std::string &variant) {
         core::FunctionalPipeline pipe(genesis, kThreads);
         pipe.setCommutative(commutative);
         const std::string label = pack_name + " / functional " + variant;
@@ -213,9 +207,8 @@ TEST_P(PackMatrix, AllBackendsBitIdenticalUnderFaults)
                 << label << " chain receipt " << i;
         }
     };
-    runFunctional(false, true, "cold exact");
-    runFunctional(true, true, "cold commutative");
-    runFunctional(false, false, "warm-memo");
+    runFunctional(false, "exact");
+    runFunctional(true, "commutative");
 
     // Cycle engine x fault matrix: both validation variants execute
     // the SAME degraded block under the SAME plan, so their digests

@@ -19,9 +19,9 @@
  * speculatively, and audited for serializability.
  *
  * With --functional, blocks run on the functional fast tier
- * (direct-threaded interpreter over pre-decoded programs,
- * decoded-code + result-memo caches, speculative fan-out with
- * program-order commit) and on the audited cycle-level MTPU model,
+ * (direct-threaded interpreter over pre-decoded programs from the
+ * decoded-code cache, speculative fan-out with program-order commit)
+ * and on the audited cycle-level MTPU model,
  * wall-clock timed, with the final state digests cross-checked
  * (exit 2 on divergence).
  *
@@ -171,12 +171,12 @@ usage(const char *argv0)
         "                   summary and embed it in the --json report\n"
         "  --functional     run blocks on the functional fast tier\n"
         "                   (direct-threaded interpreter + decoded-code\n"
-        "                   and result-memo caches) instead of the\n"
-        "                   cycle-level MTPU model; prints wall-clock\n"
-        "                   tx/s for both tiers and cross-checks the\n"
-        "                   final state digest (exit 2 on divergence).\n"
-        "                   evm.decode_cache.* / evm.memo.* counters\n"
-        "                   are always embedded in the --json report\n"
+        "                   cache) instead of the cycle-level MTPU\n"
+        "                   model; prints wall-clock tx/s for both\n"
+        "                   tiers and cross-checks the final state\n"
+        "                   digest (exit 2 on divergence).\n"
+        "                   evm.decode_cache.* counters are always\n"
+        "                   embedded in the --json report\n"
         "  --commutative    commutativity-aware conflict taming: commit\n"
         "                   pure add/sub storage chains by range-checked\n"
         "                   delta replay instead of exact-match, and\n"
@@ -1004,7 +1004,7 @@ runStream(const Options &opt, const mtpu::arch::MtpuConfig &cfg,
 
 /**
  * Functional fast-tier run: execute the generated blocks on the
- * FunctionalPipeline (speculative fan-out + memo replay) and on the
+ * FunctionalPipeline (speculative fan-out + delta replay) and on the
  * audited cycle-level MTPU pipeline, wall-clock both, and cross-check
  * the final state digests. Returns 0 on success, 2 if the tiers
  * diverge (or the cycle tier's audit fails), 1 on a report-write
@@ -1016,7 +1016,7 @@ runFunctional(const Options &opt, const mtpu::arch::MtpuConfig &cfg)
     using namespace mtpu;
     using Clock = std::chrono::steady_clock;
 
-    // The decode-cache / memo counters are part of this mode's report
+    // The decode-cache counters are part of this mode's report
     // contract, so the registry is always on here (not just --metrics).
     obs::Registry::global().enable(true);
 
@@ -1029,8 +1029,8 @@ runFunctional(const Options &opt, const mtpu::arch::MtpuConfig &cfg)
 
     // Pre-generate every block so workload synthesis stays out of the
     // timed regions. Generation itself runs the builder-side consensus
-    // stage, which warms the decoded-program and memo caches — the
-    // same reuse a block builder hands its attached executor.
+    // stage; it hands both tiers blocks, never results, so each tier
+    // executes every transaction itself.
     std::vector<workload::BlockRun> blocks;
     blocks.reserve(std::size_t(opt.blocks));
     for (int b = 0; b < opt.blocks; ++b)
